@@ -15,7 +15,12 @@
 // modeled ingestion story.
 //
 // Flags: --tiny (CI smoke sizes), --queues=N (device queues of the
-// multi-queue section; the paper series stay at 1).
+// multi-queue section; the paper series stay at 1), --metrics-json=PATH
+// (arms the metrics registry on every case and writes BENCH_fig15.json).
+//
+// The --tiny size is chosen so every serial Fig15a/Fig15b row actually
+// merges (plain, merge-repair and deleted-key merges): the CI DIGEST lines
+// then pin the serial merge paths, not just flushes.
 #include <thread>
 
 #include "bench_util.h"
@@ -25,6 +30,10 @@ namespace bench {
 namespace {
 
 uint64_t g_ops = 30000;
+
+/// Non-null when --metrics-json armed the registry (see fig13): every case
+/// attaches it, and arming must not move a DIGEST line.
+auxlsm::obs::MetricsRegistry* g_metrics = nullptr;
 
 struct StrategyCase {
   const char* name;
@@ -46,6 +55,7 @@ IngestResult RunIngest(const StrategyCase& sc, uint64_t max_mergeable,
                        bool nvme = false) {
   EnvOptions eo = BenchEnv(/*cache_mb=*/4, /*ssd=*/false,
                            /*cache_shards=*/threads > 1 ? 8 : 1);
+  eo.metrics = g_metrics;
   // The multi-queue comparison holds the cost parameters fixed and varies
   // only the queue count, so overlap is the sole difference being measured.
   if (nvme) eo.device_profile = DeviceProfile::Nvme(queues);
@@ -57,6 +67,7 @@ IngestResult RunIngest(const StrategyCase& sc, uint64_t max_mergeable,
   o.max_mergeable_bytes = max_mergeable;
   o.maintenance_threads = threads;
   o.merge_partition_min_bytes = partition_min_bytes;
+  o.metrics = g_metrics;
   o.secondary_indexes.clear();
   for (size_t i = 0; i < num_secondary; i++) {
     o.secondary_indexes.push_back(SecondaryIndexDef::SyntheticAttribute(i));
@@ -81,7 +92,10 @@ int main(int argc, char** argv) {
   using namespace auxlsm::bench;
   using auxlsm::MaintenanceStrategy;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
-  if (flags.tiny) g_ops = 4000;
+  if (flags.tiny) g_ops = 20000;
+  auxlsm::obs::MetricsRegistry metrics;
+  if (!flags.metrics_json.empty()) g_metrics = &metrics;
+  BenchReport report("fig15");
   const StrategyCase core_cases[] = {
       {"eager", MaintenanceStrategy::kEager, false},
       {"validation", MaintenanceStrategy::kValidation, true},
@@ -100,10 +114,10 @@ int main(int argc, char** argv) {
       std::snprintf(extra, sizeof(extra), "throughput=%.0f ops/s",
                     double(g_ops) / r.total_s);
       PrintRow(sc.name, label, r.total_s, extra);
-      if (flags.tiny) {
-        PrintDigest(std::string("fig15a-") + sc.name + "-" + label,
-                    r.sim_s * 1e6, r.crit_s * 1e6);
-      }
+      const std::string section =
+          std::string("fig15a-") + sc.name + "-" + label;
+      report.AddSection(section, g_ops, r.sim_s * 1e6, r.crit_s * 1e6);
+      if (flags.tiny) PrintDigest(section, r.sim_s * 1e6, r.crit_s * 1e6);
     }
   }
 
@@ -116,11 +130,15 @@ int main(int argc, char** argv) {
   };
   for (size_t n = 1; n <= 5; n++) {
     for (const auto& sc : sec_cases) {
-      const double t = RunIngest(sc, 8u << 20, n).total_s;
+      const IngestResult r = RunIngest(sc, 8u << 20, n);
       char extra[64];
       std::snprintf(extra, sizeof(extra), "throughput=%.0f ops/s",
-                    double(g_ops) / t);
-      PrintRow(sc.name, std::to_string(n) + "-idx", t, extra);
+                    double(g_ops) / r.total_s);
+      PrintRow(sc.name, std::to_string(n) + "-idx", r.total_s, extra);
+      const std::string section =
+          std::string("fig15b-") + sc.name + "-" + std::to_string(n) + "idx";
+      report.AddSection(section, g_ops, r.sim_s * 1e6, r.crit_s * 1e6);
+      if (flags.tiny) PrintDigest(section, r.sim_s * 1e6, r.crit_s * 1e6);
     }
   }
 
@@ -168,6 +186,13 @@ int main(int argc, char** argv) {
                   qn.crit_s > 0 ? q1.sim_s / qn.crit_s : 0.0,
                   qn.crit_s < q1.sim_s ? "" : "  [NO OVERLAP]");
     PrintRow(sc.name, "q=" + std::to_string(flags.queues), qn.crit_s, extra);
+  }
+
+  // Machine-readable report: the serial rows' modeled costs plus the
+  // registry snapshot accumulated across every case above.
+  if (g_metrics != nullptr) {
+    report.SetSnapshot(g_metrics->Snapshot());
+    if (!report.WriteTo(flags.metrics_json)) return 1;
   }
   return 0;
 }
