@@ -122,17 +122,9 @@ Dataset::Dataset(Env* env, DatasetOptions options)
                                   ? UINT64_MAX
                                   : options_.merge_partition_min_bytes;
   mopts.io = env_->io();  // queue affinity for fanned-out maintenance tasks
-  mopts.fault = options_.fault_injector;
-  auto scheduler = std::make_unique<MaintenanceScheduler>(mopts);
-  // threads == 1 keeps the serial code paths untouched (no scheduler) —
-  // unless decoupled merge scheduling needs the scheduler for its per-tree
-  // merge queues (the engine then still runs every task inline/serially;
-  // engine_parallel() keeps the serial code paths routed as before).
-  const bool decoupled_merges =
-      options_.merge_queue_depth > 0 && multi_writer();
-  if (scheduler->parallel() || decoupled_merges) {
-    maintenance_ = std::move(scheduler);
-  }
+  // Always present: with one thread the scheduler spawns no pool and runs
+  // every task inline, so the serial engine takes the same steps.
+  maintenance_ = std::make_unique<MaintenanceScheduler>(mopts);
   // Multi-writer commits batch their modeled log syncs (group commit).
   if (multi_writer()) wal_.set_group_commit(true);
   // Thread the fault injector through the WAL seams (Env/cache/IO sites are
@@ -167,10 +159,6 @@ Dataset::Dataset(Env* env, DatasetOptions options)
     wal_.io()->set_tracer(tracer_.get());
     env_->io()->set_tracer(tracer_.get());  // detached in ~Dataset
   }
-}
-
-bool Dataset::engine_parallel() const {
-  return maintenance_ != nullptr && maintenance_->parallel();
 }
 
 Dataset::~Dataset() {
@@ -216,13 +204,11 @@ Status Dataset::JoinFlushCycle() {
 
 Status Dataset::WaitForMaintenance() {
   Status s = JoinFlushCycle();
-  if (maintenance_ != nullptr) {
-    // Decoupled merge scheduling: quiescing means the merge queues are empty
-    // too, and their sticky first error surfaces here (a no-op with empty
-    // queues, i.e. on every coupled configuration).
-    const Status merge = maintenance_->DrainMerges();
-    if (s.ok()) s = merge;
-  }
+  // Decoupled merge scheduling: quiescing means the merge queues are empty
+  // too, and their sticky first error surfaces here (a no-op with empty
+  // queues, i.e. on every coupled configuration).
+  const Status merge = maintenance_->DrainMerges();
+  if (s.ok()) s = merge;
   return s;
 }
 
@@ -238,15 +224,14 @@ Status Dataset::TakeBackgroundError() {
       bg_status_ = Status::OK();
     }
   }
-  if (s.ok() && maintenance_ != nullptr) s = maintenance_->TakeMergeError();
+  if (s.ok()) s = maintenance_->TakeMergeError();
   // Degraded mode lifts only once no sticky error remains in either class —
   // taking the flush error while a merge error is still queued keeps ingest
   // fail-fast until that one is taken too.
   bool clear;
   {
     MutexLock l(bg_mu_);
-    clear = bg_status_.ok() &&
-            (maintenance_ == nullptr || !maintenance_->has_merge_error());
+    clear = bg_status_.ok() && !maintenance_->has_merge_error();
   }
   if (clear) degraded_.store(false, std::memory_order_release);
   return s;
@@ -315,10 +300,8 @@ Status Dataset::DegradedError() {
     MutexLock l(bg_mu_);
     if (!bg_status_.ok()) return bg_status_;
   }
-  if (maintenance_ != nullptr) {
-    const Status s = maintenance_->merge_error();
-    if (!s.ok()) return s;
-  }
+  const Status s = maintenance_->merge_error();
+  if (!s.ok()) return s;
   // The flag is set but both sticky slots already drained (a concurrent
   // taker raced us): report the state rather than inventing an error.
   return Status::Aborted("dataset degraded: maintenance failed");
@@ -390,130 +373,56 @@ Status Dataset::MaintainAsync(bool in_explicit_txn) {
   return Status::OK();
 }
 
+void Dataset::RecordWallNs(obs::Histogram* hist,
+                           std::chrono::steady_clock::time_point wall0) {
+  if (hist == nullptr) return;
+  hist->Record(uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - wall0)
+                            .count()));
+}
+
+bool Dataset::BudgetFlushDue() const {
+  ingest_mu_.AssertHeld();
+  if (MemComponentBytes() < options_.mem_budget_bytes) return false;
+  // No-steal: an open explicit transaction may have uncommitted effects in
+  // the memtables — sealing them would flush uncommitted data to disk and
+  // strand the rollback closures. Auto-commit transactions live entirely
+  // inside a shared-latch hold, so under the exclusive latch any active
+  // count is explicit ones; defer the flush until they close (a later
+  // ingest op re-triggers it).
+  return txns_.active_transactions() == 0;
+}
+
 Status Dataset::MaintenanceCycle() {
   obs::TraceSpan cycle_span(tracer_.get(), "maintenance.cycle", "maintenance");
   const auto cycle_wall0 = std::chrono::steady_clock::now();
-  // Phase 1 — seal: a brief exclusive section swaps every tree's memtable;
-  // writers resume into fresh ones while the sealed set is built.
-  std::vector<std::pair<LsmTree*, std::shared_ptr<Memtable>>> sealed;
-  Lsn flush_lsn = kInvalidLsn;
+  // Seal under a brief exclusive section; writers resume into fresh
+  // memtables while the sealed set is built off-latch.
+  FlushRound round;
   {
-    obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
-    if (MemComponentBytes() < options_.mem_budget_bytes) {
-      return Status::OK();  // another path already resolved the overrun
-    }
-    // No-steal: an open explicit transaction may have uncommitted effects in
-    // the memtables — sealing them would flush uncommitted data to disk and
-    // strand the rollback closures. Auto-commit transactions live entirely
-    // inside a shared-latch hold, so under the exclusive latch any active
-    // count is explicit ones; defer the cycle until they close (a later
-    // ingest op re-triggers it).
-    if (txns_.active_transactions() > 0) return Status::OK();
-    for (LsmTree* t : AllTrees()) {
-      t->SealMemtable();
-      // Collect every pending sealed memtable, not just the fresh one: a
-      // prior cycle abandoned by a build failure left its memtables sealed
-      // (recoverable, but uninstalled) — this is their re-flush path.
-      for (auto& m : t->PendingSealed()) sealed.emplace_back(t, m);
-    }
-    flush_lsn = wal_.tail_lsn();
+    if (!BudgetFlushDue()) return Status::OK();
+    round = SealFlushRound();
   }
-  if (sealed.empty()) return Status::OK();
-
-  // Phase 2 — build the flushed components off-latch (fanned out on the
-  // maintenance engine when it is active; distinct trees, distinct files).
-  // Each build runs under the transient-retry policy; a failed build leaves
-  // its sealed memtable in place, so no data is lost (WAL + sealed state).
-  FaultInjector* const fault = options_.fault_injector;
-  std::vector<DiskComponentPtr> built(sealed.size());
-  auto build_one = [&](size_t i) -> Status {
-    const std::string& tree = sealed[i].first->options().name;
-    obs::TraceSpan build_span(tracer_.get(),
-                              ("flush_build(" + tree + ")").c_str(),
-                              "maintenance",
-                              int32_t(env_->io()->BoundQueue()));
-    const auto wall0 = std::chrono::steady_clock::now();
-    const Status s = RunWithRetry(
-        "flush(" + tree + ")", [&, i]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(
-                fault->Hit(failpoints::kFlushBuild, env_->io()));
-          }
-          AUXLSM_ASSIGN_OR_RETURN(
-              built[i], sealed[i].first->BuildFromSealed(sealed[i].second));
-          return Status::OK();
-        });
-    if (hist_flush_build_wall_ != nullptr) {
-      hist_flush_build_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count()));
-    }
-    return s;
-  };
-  if (engine_parallel()) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t i = 0; i < sealed.size(); i++) {
-      tasks.push_back([&build_one, i]() { return build_one(i); });
-    }
-    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  } else {
-    for (size_t i = 0; i < sealed.size(); i++) {
-      // Inline build still spreads trees over device queues: modeled device
-      // concurrency does not require host concurrency (no-op on one queue).
-      IoQueueScope io_scope(env_->io(), uint32_t(i));
-      AUXLSM_RETURN_NOT_OK(build_one(i));
-    }
-  }
-
-  // Phase 3 — install under the latch: all trees' components appear
-  // atomically w.r.t. ingestion, preserving the positional alignment that
-  // correlated merges and bitmap sharing rely on. The install failpoint is
-  // consulted ONCE, before any tree installs — an injected install error is
-  // all-or-nothing (no tree installed), never a partial install that would
-  // break the positional alignment.
+  if (round.trees.empty()) return Status::OK();
+  AUXLSM_RETURN_NOT_OK(BuildFlushRound(&round));
   {
-    obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
-    if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
-        return fault->Hit(failpoints::kInstall, env_->io());
-      }));
-    }
-    for (size_t i = 0; i < sealed.size(); i++) {
-      AUXLSM_RETURN_NOT_OK(
-          sealed[i].first->InstallFlushed(sealed[i].second, built[i]));
-      built[i]->set_max_lsn(flush_lsn);
-    }
+    AUXLSM_RETURN_NOT_OK(InstallFlushRound(round));
+    // Seal-window policy: writes that superseded an entry while it sat in a
+    // sealed memtable are marked in the freshly installed component.
     if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-      if (pk_index_) {
-        auto pcomps = primary_->Components();
-        auto kcomps = pk_index_->Components();
-        if (!pcomps.empty() && !kcomps.empty() &&
-            kcomps.front()->bitmap() == nullptr) {
-          kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-        }
-      }
       AUXLSM_RETURN_NOT_OK(FixupFlushedBitmap());
     }
-    stats_.flushes++;
   }
 
-  // Phase 4 — merges off-latch. Writers only mutate memtables (and, under
+  // Merges off-latch. Writers only mutate memtables (and, under
   // Mutable-bitmap, old components' bitmaps — which CorrelatedMerge routes
   // through the §5.3 concurrency-control machinery), so merges are safe
   // against concurrent ingestion. Decoupled mode hands the work to the
   // per-tree merge queues instead, so this cycle — and with it the *next*
   // seal/install — never waits on a merge backlog.
-  auto record_cycle_wall = [&]() {
-    if (hist_cycle_wall_ != nullptr) {
-      hist_cycle_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - cycle_wall0)
-              .count()));
-    }
-  };
+  Status s;
   if (merge_queues_enabled()) {
     // Every cycle enqueues its round unconditionally: a tree whose earlier
     // jobs already retired would otherwise never see this cycle's installs
@@ -523,111 +432,128 @@ Status Dataset::MaintenanceCycle() {
     // at-most-writer_threads threads parked between that wait and the CAS
     // can add one stale round — ≤ depth + writer_threads rounds total.
     EnqueueMergeWork();
-    record_cycle_wall();
-    return Status::OK();
-  }
-  Status s;
-  {
+  } else {
     obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
     s = RunMerges();
   }
-  record_cycle_wall();
+  RecordWallNs(hist_cycle_wall_, cycle_wall0);
   return s;
 }
 
-void Dataset::EnqueueMergeWork() {
-  // One round = one job per serial merge stream: the whole dataset under
-  // correlated merges (every index merges in lock step with the anchor), one
-  // per tree otherwise. Jobs sharing a key run serially in FIFO order on the
-  // scheduler's merge queues, preserving the per-tree merge serialization
-  // invariant; redundant jobs (the tree's policy is already satisfied when
-  // they run) are cheap no-op policy checks, and the round count is exactly
-  // how many flush cycles the merge queues are running behind.
-  std::vector<MaintenanceScheduler::MergeJob> round;
-  auto add = [&](LsmTree* accounting_tree, MaintenanceScheduler::MergeKey key,
-                 std::function<Status()> work) {
-    accounting_tree->BeginQueuedMerge();
-    const std::string what =
-        "merge_job(" + accounting_tree->options().name + ")";
-    round.push_back(MaintenanceScheduler::MergeJob{
-        key, [this, accounting_tree, what, work = std::move(work)]() {
-          // Transient job failures retry in place on the queue (the work
-          // re-picks its merge inputs each run, so a retry sees the current
-          // component lists). This is the merge-round retry policy the
-          // decoupled scheduling PR deferred. EndQueuedMerge runs no matter
-          // what — a failed job must never leave the accounting wedged.
-          FaultInjector* const fault = options_.fault_injector;
-          Status s;
-          {
-            obs::TraceSpan job_span(tracer_.get(), what.c_str(), "merge",
-                                    int32_t(env_->io()->BoundQueue()));
-            const auto wall0 = std::chrono::steady_clock::now();
-            s = RunWithRetry(what, [&]() -> Status {
-              if (fault != nullptr) {
-                AUXLSM_RETURN_NOT_OK(
-                    fault->Hit(failpoints::kMergeJob, env_->io()));
-              }
-              return work();
-            });
-            if (hist_merge_job_wall_ != nullptr) {
-              hist_merge_job_wall_->Record(uint64_t(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - wall0)
-                      .count()));
-            }
-          }
-          accounting_tree->EndQueuedMerge();
-          // Flag-only degrade: the scheduler keeps the sticky error itself
-          // (storing a copy in bg_status_ would double-report it).
-          if (!s.ok()) MarkDegraded();
-          return s;
-        }});
+Dataset::FlushRound Dataset::SealFlushRound() {
+  ingest_mu_.AssertHeld();
+  obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
+  FlushRound round;
+  uint32_t slot = 0;
+  auto seal = [&](LsmTree* t) {
+    const uint32_t tree_slot = slot++;
+    if (t == nullptr) return;
+    t->SealMemtable();
+    // Every pending sealed memtable, not just the fresh one: a round
+    // abandoned by a build failure left its memtables sealed (recoverable,
+    // but uninstalled) — this is their re-flush path.
+    for (auto& m : t->PendingSealed()) {
+      round.trees.push_back(SealedFlush{t, m, tree_slot, nullptr});
+    }
   };
-  if (options_.correlated_merges) {
-    LsmTree* anchor = pk_index_ ? pk_index_.get() : primary_.get();
-    add(anchor, anchor, [this]() { return CorrelatedMerge(/*decoupled=*/true); });
-    maintenance_->EnqueueMergeRound(std::move(round));
-    return;
+  seal(primary_.get());
+  seal(pk_index_.get());
+  for (auto& s : secondaries_) {
+    seal(s->tree.get());
+    seal(s->deleted_keys.get());
   }
-  add(primary_.get(), primary_.get(), [this]() {
-    uint64_t merges = 0;
-    const Status s = maintenance_->MergeToPolicy(primary_.get(), &merges);
-    stats_.merges += merges;
-    return s;
-  });
-  if (pk_index_ != nullptr) {
-    add(pk_index_.get(), pk_index_.get(), [this]() {
-      uint64_t merges = 0;
-      const Status s = maintenance_->MergeToPolicy(pk_index_.get(), &merges);
-      stats_.merges += merges;
+  round.flush_lsn = wal_.tail_lsn();
+  return round;
+}
+
+Status Dataset::BuildFlushRound(FlushRound* round) {
+  // Distinct trees write distinct files, so the builds fan out on the
+  // scheduler (inline with one thread). Each build runs under the
+  // transient-retry policy; a failed build leaves its sealed memtable in
+  // place, so no data is lost (WAL + sealed state).
+  FaultInjector* const fault = options_.fault_injector;
+  std::vector<std::function<Status()>> tasks;
+  tasks.reserve(round->trees.size());
+  for (SealedFlush& f : round->trees) {
+    tasks.push_back([this, fault, &f]() -> Status {
+      // Each tree charges its own device queue, whichever thread runs it:
+      // modeled device concurrency does not require host concurrency
+      // (queue 0 for every tree on a single-queue device).
+      IoQueueScope io_scope(env_->io(), f.slot);
+      const std::string& tree = f.tree->options().name;
+      obs::TraceSpan build_span(tracer_.get(),
+                                ("flush_build(" + tree + ")").c_str(),
+                                "maintenance",
+                                int32_t(env_->io()->BoundQueue()));
+      const auto wall0 = std::chrono::steady_clock::now();
+      const Status s = RunWithRetry("flush(" + tree + ")", [&]() -> Status {
+        if (fault != nullptr) {
+          AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kFlushBuild, env_->io()));
+        }
+        AUXLSM_ASSIGN_OR_RETURN(f.built, f.tree->BuildFromSealed(f.mem));
+        return Status::OK();
+      });
+      RecordWallNs(hist_flush_build_wall_, wall0);
       return s;
     });
   }
-  for (auto& sp : secondaries_) {
-    SecondaryIndex* s = sp.get();
-    add(s->tree.get(), s->tree.get(), [this, s]() {
-      uint64_t merges = 0, repairs = 0;
-      const Status st =
-          SecondaryMergesToPolicy(s, &merges, &repairs, /*decoupled=*/true);
-      stats_.merges += merges;
-      stats_.repairs += repairs;
-      return st;
-    });
-  }
-  maintenance_->EnqueueMergeRound(std::move(round));
+  return maintenance_->RunAll(std::move(tasks));
 }
 
-Status Dataset::SecondaryMergesToPolicy(SecondaryIndex* s, uint64_t* merges,
-                                        uint64_t* repairs, bool decoupled) {
-  if (options_.strategy == MaintenanceStrategy::kValidation &&
-      options_.merge_repair) {
-    return MergeRepairToPolicy(s, merges, repairs);
+Status Dataset::InstallFlushRound(const FlushRound& round) {
+  ingest_mu_.AssertHeld();
+  // All trees' components appear atomically w.r.t. ingestion, preserving
+  // the positional alignment that correlated merges and bitmap sharing rely
+  // on. The install failpoint is consulted ONCE, before any tree installs —
+  // an injected install error is all-or-nothing, never a partial install.
+  obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
+  FaultInjector* const fault = options_.fault_injector;
+  if (fault != nullptr && !round.trees.empty()) {
+    AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
+      return fault->Hit(failpoints::kInstall, env_->io());
+    }));
   }
-  if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
-    return DeletedKeyMergesToPolicy(s, merges, decoupled);
+  for (const SealedFlush& f : round.trees) {
+    AUXLSM_RETURN_NOT_OK(f.tree->InstallFlushed(f.mem, f.built));
+    f.built->set_max_lsn(round.flush_lsn);
   }
-  AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
-  return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
+  // Under the Mutable-bitmap strategy the primary and primary key index are
+  // synchronized and share one validity bitmap per component (§5.1).
+  if (options_.strategy == MaintenanceStrategy::kMutableBitmap && pk_index_) {
+    auto pcomps = primary_->Components();
+    auto kcomps = pk_index_->Components();
+    if (!pcomps.empty() && !kcomps.empty() &&
+        kcomps.front()->bitmap() == nullptr) {
+      kcomps.front()->set_bitmap(pcomps.front()->bitmap());
+    }
+  }
+  stats_.flushes++;
+  return Status::OK();
+}
+
+Status Dataset::FlushAll() {
+  AUXLSM_RETURN_NOT_OK(WaitForMaintenance());
+  WriteLatchGuard l(ingest_mu_);
+  return FlushAllLocked();
+}
+
+Status Dataset::FlushAllLocked() {
+  ingest_mu_.AssertHeld();
+  // Build everything, then install everything: a build failure leaves every
+  // tree uninstalled with its sealed memtables intact, never some trees
+  // flushed and others not.
+  FlushRound round = SealFlushRound();
+  AUXLSM_RETURN_NOT_OK(BuildFlushRound(&round));
+  AUXLSM_RETURN_NOT_OK(InstallFlushRound(round));
+  // Seal-window policy: a direct flush wrote active and sealed memtables
+  // together, so any recorded seal-window supersessions now coexist with
+  // their newer versions as separate components reconciled by recency. Drop
+  // the stale records (each would only waste a B-tree probe).
+  if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
+    MutexLock fl(fixup_mu_);
+    pending_bitmap_fixups_.clear();
+  }
+  return Status::OK();
 }
 
 void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
@@ -687,147 +613,41 @@ Status Dataset::FixupFlushedBitmap() {
   return Status::OK();
 }
 
-Status Dataset::FlushAll() {
-  AUXLSM_RETURN_NOT_OK(WaitForMaintenance());
-  WriteLatchGuard l(ingest_mu_);
-  return FlushAllLocked();
+Status Dataset::MergeStep(const std::string& tree,
+                          const std::function<Status()>& merge) {
+  // One merge attempt = one failpoint consult + the merge itself. A merge
+  // fails before any component is replaced, so a transient failure retries
+  // against the same picked inputs.
+  FaultInjector* const fault = options_.fault_injector;
+  return RunWithRetry("merge(" + tree + ")", [&]() -> Status {
+    if (fault != nullptr) {
+      AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
+    }
+    return merge();
+  });
 }
 
-Status Dataset::FlushAllLocked() {
-  ingest_mu_.AssertHeld();
-  const Lsn flush_lsn = wal_.tail_lsn();
-  FaultInjector* const fault = options_.fault_injector;
-  // Phase 1 — seal every tree (the caller holds the exclusive latch). The
-  // slot number preserves the legacy per-tree device-queue binding (one slot
-  // per enumerated tree position, occupied or not), so multi-queue simulated
-  // charges are bit-for-bit the pre-restructure costs.
-  struct PendingFlush {
-    LsmTree* tree;
-    std::shared_ptr<Memtable> mem;
-    uint32_t slot;
-  };
-  std::vector<PendingFlush> sealed;
-  {
-    obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
-    uint32_t slot = 0;
-    auto collect = [&](LsmTree* t) {
-      const uint32_t my_slot = slot++;
-      if (t == nullptr) return;
-      t->SealMemtable();
-      for (auto& m : t->PendingSealed()) {
-        sealed.push_back(PendingFlush{t, m, my_slot});
-      }
-    };
-    collect(primary_.get());
-    collect(pk_index_.get());
-    for (auto& s : secondaries_) {
-      collect(s->tree.get());
-      collect(s->deleted_keys.get());
-    }
-  }
-
-  // Phase 2 — build all components, then install all (phase 3): a build
-  // failure (injected or real) leaves every tree uninstalled and its sealed
-  // memtables intact, instead of some trees flushed and others not — the
-  // partial state that breaks the positional alignment correlated merges
-  // and bitmap sharing rely on. Builds run under the transient-retry policy.
-  std::vector<DiskComponentPtr> built(sealed.size());
-  auto build_one = [&](size_t i) -> Status {
-    const std::string& tree = sealed[i].tree->options().name;
-    obs::TraceSpan build_span(tracer_.get(),
-                              ("flush_build(" + tree + ")").c_str(),
-                              "maintenance",
-                              int32_t(env_->io()->BoundQueue()));
-    const auto wall0 = std::chrono::steady_clock::now();
-    const Status s = RunWithRetry(
-        "flush(" + tree + ")", [&, i]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(
-                fault->Hit(failpoints::kFlushBuild, env_->io()));
-          }
-          AUXLSM_ASSIGN_OR_RETURN(built[i],
-                                  sealed[i].tree->BuildFromSealed(
-                                      sealed[i].mem));
-          return Status::OK();
-        });
-    if (hist_flush_build_wall_ != nullptr) {
-      hist_flush_build_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count()));
-    }
-    return s;
-  };
-  if (engine_parallel()) {
-    // All indexes flush together (shared budget); their builds write to
-    // distinct trees and files, so they run concurrently on the pool.
-    std::vector<std::function<Status()>> tasks;
-    for (size_t i = 0; i < sealed.size(); i++) {
-      tasks.push_back([&build_one, i]() { return build_one(i); });
-    }
-    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  } else {
-    // Serial path: builds run inline, but each tree still charges its own
-    // device queue so multi-queue profiles overlap them in simulated time
-    // (queue 0 for every tree on a single-queue device — the legacy costs).
-    for (size_t i = 0; i < sealed.size(); i++) {
-      IoQueueScope io_scope(env_->io(), sealed[i].slot);
-      AUXLSM_RETURN_NOT_OK(build_one(i));
-    }
-  }
-
-  // Phase 3 — install everything. The install failpoint is consulted once,
-  // before any tree installs (all-or-nothing, as in MaintenanceCycle).
-  obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
-  if (fault != nullptr && !sealed.empty()) {
-    AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
-      return fault->Hit(failpoints::kInstall, env_->io());
+Status Dataset::MergeTreeToPolicy(LsmTree* tree) {
+  std::vector<DiskComponentPtr> picked;
+  while (tree->PickMergeCandidates(&picked)) {
+    AUXLSM_RETURN_NOT_OK(MergeStep(tree->options().name, [&]() {
+      return maintenance_->MergeComponents(tree, picked);
     }));
+    stats_.merges++;
   }
-  for (size_t i = 0; i < sealed.size(); i++) {
-    AUXLSM_RETURN_NOT_OK(sealed[i].tree->InstallFlushed(sealed[i].mem,
-                                                        built[i]));
-    built[i]->set_max_lsn(flush_lsn);
-  }
-  // A direct FlushAll flushed active and sealed memtables together, so any
-  // recorded seal-window supersessions now coexist with their newer versions
-  // as separate components reconciled by recency — exactly the pre-side-list
-  // behavior of this path. Drop the stale records (they could only ever
-  // no-op against later components, but each would waste a B-tree probe).
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-    MutexLock fl(fixup_mu_);
-    pending_bitmap_fixups_.clear();
-  }
-  // Under the Mutable-bitmap strategy the primary and primary key index are
-  // synchronized and share one validity bitmap per component (§5.1).
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap && pk_index_) {
-    auto pcomps = primary_->Components();
-    auto kcomps = pk_index_->Components();
-    if (!pcomps.empty() && !kcomps.empty() &&
-        kcomps.front()->bitmap() == nullptr) {
-      kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-    }
-  }
-  stats_.flushes++;
   return Status::OK();
 }
 
-Status Dataset::MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                    uint64_t* repairs) {
+Status Dataset::MergeRepairToPolicy(SecondaryIndex* index) {
   // Merge repair replaces the plain merge for secondary indexes (§4.4). The
   // tree's own policy is the same tiering policy the options describe.
-  FaultInjector* const fault = options_.fault_injector;
   std::vector<DiskComponentPtr> picked;
   while (index->tree->PickMergeCandidates(&picked)) {
-    AUXLSM_RETURN_NOT_OK(RunWithRetry(
-        "repair(" + index->def.name + ")", [&]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
-          }
-          return RunMergeRepair(this, index, picked);
-        }));
-    (*merges)++;
-    (*repairs)++;
+    AUXLSM_RETURN_NOT_OK(MergeStep(index->tree->options().name, [&]() {
+      return RunMergeRepair(this, index, picked);
+    }));
+    stats_.merges++;
+    stats_.repairs++;
   }
   return Status::OK();
 }
@@ -854,7 +674,7 @@ std::vector<DiskComponentPtr> SliceRange(
 }  // namespace
 
 Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index,
-                                         uint64_t* merges, bool decoupled) {
+                                         bool decoupled) {
   while (true) {
     // Pick and capture the index slice and its lock-step deleted-keys slice
     // in one consistent view: as a merge-queue job (`decoupled`), flush
@@ -882,94 +702,104 @@ Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index,
       capture();
     }
     if (r.empty() || r.count() < 2) break;
-    FaultInjector* const fault = options_.fault_injector;
-    AUXLSM_RETURN_NOT_OK(RunWithRetry(
-        "merge(" + index->def.name + ".deleted)", [&]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
-          }
+    AUXLSM_RETURN_NOT_OK(
+        MergeStep(index->deleted_keys->options().name, [&]() {
           return RunDeletedKeyMergePicked(this, index, picked, dk_picked);
         }));
-    (*merges)++;
+    stats_.merges++;
   }
   return Status::OK();
+}
+
+Status Dataset::SecondaryMergesToPolicy(SecondaryIndex* s, bool decoupled) {
+  if (options_.strategy == MaintenanceStrategy::kValidation &&
+      options_.merge_repair) {
+    return MergeRepairToPolicy(s);
+  }
+  if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
+    return DeletedKeyMergesToPolicy(s, decoupled);
+  }
+  return MergeTreeToPolicy(s->tree.get());
+}
+
+std::vector<Dataset::MergeStream> Dataset::MergeStreams(bool decoupled) {
+  if (options_.correlated_merges) {
+    // Every index merges in lock step with the anchor: one stream.
+    LsmTree* anchor = pk_index_ ? pk_index_.get() : primary_.get();
+    return {MergeStream{
+        anchor, [this, decoupled]() { return CorrelatedMerge(decoupled); }}};
+  }
+  // One stream per tree: independent trees merge concurrently while each
+  // tree's own merges stay serialized inside its stream. Secondary
+  // repair/deleted-key merges read the primary-key index concurrently with
+  // its own merge — safe because readers work on component snapshots and
+  // ReplaceComponents swaps atomically.
+  std::vector<MergeStream> streams;
+  streams.push_back(MergeStream{
+      primary_.get(), [this]() { return MergeTreeToPolicy(primary_.get()); }});
+  if (pk_index_ != nullptr) {
+    streams.push_back(MergeStream{pk_index_.get(), [this]() {
+      return MergeTreeToPolicy(pk_index_.get());
+    }});
+  }
+  for (auto& sp : secondaries_) {
+    SecondaryIndex* s = sp.get();
+    streams.push_back(MergeStream{s->tree.get(), [this, s, decoupled]() {
+      return SecondaryMergesToPolicy(s, decoupled);
+    }});
+  }
+  return streams;
 }
 
 Status Dataset::RunMerges() {
-  if (options_.correlated_merges) return CorrelatedMerge();
-  if (engine_parallel()) return ParallelMerges();
-  FaultInjector* const fault = options_.fault_injector;
-  auto merge_tree = [&](LsmTree* t) -> Status {
-    if (t == nullptr) return Status::OK();
-    // The serial path bypasses the scheduler (whose MergeComponents carries
-    // the merge failpoint), so the site is consulted here; transient
-    // failures retry the tree's merge loop from the current component set.
-    return RunWithRetry(
-        "merge(" + t->options().name + ")", [&, t]() -> Status {
-          bool merged = true;
-          while (merged) {
-            if (fault != nullptr) {
-              AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge,
-                                              env_->io()));
-            }
-            AUXLSM_RETURN_NOT_OK(t->TryMerge(&merged));
-            if (merged) stats_.merges++;
-          }
-          return Status::OK();
-        });
-  };
-  AUXLSM_RETURN_NOT_OK(merge_tree(primary_.get()));
-  AUXLSM_RETURN_NOT_OK(merge_tree(pk_index_.get()));
-  for (auto& s : secondaries_) {
-    if (options_.strategy == MaintenanceStrategy::kValidation &&
-        options_.merge_repair) {
-      uint64_t merges = 0, repairs = 0;
-      AUXLSM_RETURN_NOT_OK(MergeRepairToPolicy(s.get(), &merges, &repairs));
-      stats_.merges += merges;
-      stats_.repairs += repairs;
-    } else if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
-      uint64_t merges = 0;
-      AUXLSM_RETURN_NOT_OK(DeletedKeyMergesToPolicy(s.get(), &merges));
-      stats_.merges += merges;
-    } else {
-      AUXLSM_RETURN_NOT_OK(merge_tree(s->tree.get()));
-      AUXLSM_RETURN_NOT_OK(merge_tree(s->deleted_keys.get()));
-    }
+  std::vector<std::function<Status()>> tasks;
+  for (MergeStream& m : MergeStreams(/*decoupled=*/false)) {
+    tasks.push_back(std::move(m.work));
   }
-  return Status::OK();
+  return maintenance_->RunAll(std::move(tasks));
 }
 
-Status Dataset::ParallelMerges() {
-  // One task per tree: independent trees merge concurrently while each
-  // tree's own merges stay serialized inside its task (the engine's
-  // per-tree serialization rule). Secondary repair/deleted-key merges read
-  // the primary-key index concurrently with its own merge — safe because
-  // readers work on component snapshots and ReplaceComponents swaps
-  // atomically. IngestStats is only updated after the join.
-  std::vector<std::function<Status()>> tasks;
-  std::vector<uint64_t> merge_counts(2 + secondaries_.size(), 0);
-  std::vector<uint64_t> repair_counts(secondaries_.size(), 0);
-
-  tasks.push_back([this, c = &merge_counts[0]]() {
-    return maintenance_->MergeToPolicy(primary_.get(), c);
-  });
-  if (pk_index_ != nullptr) {
-    tasks.push_back([this, c = &merge_counts[1]]() {
-      return maintenance_->MergeToPolicy(pk_index_.get(), c);
-    });
+void Dataset::EnqueueMergeWork() {
+  // One round = one job per merge stream. Jobs sharing a key run serially in
+  // FIFO order on the scheduler's merge queues, preserving the per-tree
+  // merge serialization invariant; redundant jobs (the tree's policy is
+  // already satisfied when they run) are cheap no-op policy checks, and the
+  // round count is exactly how many flush cycles the merge queues are
+  // running behind.
+  std::vector<MaintenanceScheduler::MergeJob> round;
+  for (MergeStream& m : MergeStreams(/*decoupled=*/true)) {
+    LsmTree* const tree = m.tree;
+    tree->BeginQueuedMerge();
+    const std::string what = "merge_job(" + tree->options().name + ")";
+    round.push_back(MaintenanceScheduler::MergeJob{
+        tree, [this, tree, what, work = std::move(m.work)]() {
+          // Transient job failures retry in place on the queue (the work
+          // re-picks its merge inputs each run, so a retry sees the current
+          // component lists). EndQueuedMerge runs no matter what — a failed
+          // job must never leave the accounting wedged.
+          FaultInjector* const fault = options_.fault_injector;
+          Status s;
+          {
+            obs::TraceSpan job_span(tracer_.get(), what.c_str(), "merge",
+                                    int32_t(env_->io()->BoundQueue()));
+            const auto wall0 = std::chrono::steady_clock::now();
+            s = RunWithRetry(what, [&]() -> Status {
+              if (fault != nullptr) {
+                AUXLSM_RETURN_NOT_OK(
+                    fault->Hit(failpoints::kMergeJob, env_->io()));
+              }
+              return work();
+            });
+            RecordWallNs(hist_merge_job_wall_, wall0);
+          }
+          tree->EndQueuedMerge();
+          // Flag-only degrade: the scheduler keeps the sticky error itself
+          // (storing a copy in bg_status_ would double-report it).
+          if (!s.ok()) MarkDegraded();
+          return s;
+        }});
   }
-  for (size_t i = 0; i < secondaries_.size(); i++) {
-    SecondaryIndex* s = secondaries_[i].get();
-    uint64_t* mc = &merge_counts[2 + i];
-    uint64_t* rc = &repair_counts[i];
-    tasks.push_back([this, s, mc, rc]() {
-      return SecondaryMergesToPolicy(s, mc, rc, /*decoupled=*/false);
-    });
-  }
-  AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  for (uint64_t c : merge_counts) stats_.merges += c;
-  for (uint64_t c : repair_counts) stats_.repairs += c;
-  return Status::OK();
+  maintenance_->EnqueueMergeRound(std::move(round));
 }
 
 Status Dataset::CorrelatedMerge(bool decoupled) {
@@ -1037,30 +867,18 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
     }
     if (r.empty() || r.count() < 2) break;
 
-    // Merge of one tree's captured slice; routed through the maintenance
-    // engine (which may partition large merges) when it is active. A merge
-    // fails before any component is replaced, so transient failures retry
-    // against the same captured slice.
-    FaultInjector* const fault = options_.fault_injector;
-    auto merge_picked =
-        [this, fault](LsmTree* t,
-                      const std::vector<DiskComponentPtr>& picked) -> Status {
-      return RunWithRetry(
-          "merge(" + t->options().name + ")", [&]() -> Status {
-            if (maintenance_ != nullptr) {
-              return maintenance_->MergeComponents(t, picked);
-            }
-            if (fault != nullptr) {
-              AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge,
-                                              env_->io()));
-            }
-            return t->MergeComponents(picked);
-          });
+    // Merge of one tree's captured slice (the scheduler may partition a
+    // large merge into key-range scans).
+    auto merge_picked = [this](LsmTree* t,
+                               const std::vector<DiskComponentPtr>& picked) {
+      return MergeStep(t->options().name, [&]() {
+        return maintenance_->MergeComponents(t, picked);
+      });
     };
 
-    // Phase 1: primary and primary key index merge (concurrently when the
-    // engine is active) — their post-merge components must exist before the
-    // bitmap re-share and before secondary repair validates against them.
+    // Phase 1: primary and primary key index merge (as two scheduler tasks)
+    // — their post-merge components must exist before the bitmap re-share
+    // and before secondary repair validates against them.
     if (multi_writer() &&
         options_.strategy == MaintenanceStrategy::kMutableBitmap) {
       // Background merge concurrent with live writers: writers flip bits in
@@ -1086,21 +904,13 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
             }));
       }
     } else {
-      if (engine_parallel() && pk_index_ != nullptr) {
-        std::vector<std::function<Status()>> tasks;
-        tasks.push_back([&merge_picked, this, &p_picked]() {
-          return merge_picked(primary_.get(), p_picked);
-        });
-        tasks.push_back([&merge_picked, this, &k_picked]() {
-          return merge_picked(pk_index_.get(), k_picked);
-        });
-        AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-      } else {
-        AUXLSM_RETURN_NOT_OK(merge_picked(primary_.get(), p_picked));
-        if (pk_index_) {
-          AUXLSM_RETURN_NOT_OK(merge_picked(pk_index_.get(), k_picked));
-        }
+      std::vector<std::function<Status()>> tasks;
+      tasks.push_back([&]() { return merge_picked(primary_.get(), p_picked); });
+      if (pk_index_ != nullptr) {
+        tasks.push_back(
+            [&]() { return merge_picked(pk_index_.get(), k_picked); });
       }
+      AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
       if (options_.strategy == MaintenanceStrategy::kMutableBitmap &&
           pk_index_) {
         // Re-share the merged components' bitmap. Positional refetch is safe
@@ -1115,45 +925,30 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
       }
     }
     // Phase 2: secondary indexes, one task per index.
-    uint64_t round_repairs = 0;
+    const bool repair = options_.strategy == MaintenanceStrategy::kValidation &&
+                        options_.merge_repair;
     std::vector<std::function<Status()>> stasks;
-    std::vector<uint64_t> srepairs(secondaries_.size(), 0);
     for (size_t i = 0; i < secondaries_.size(); i++) {
       SecondaryIndex* s = secondaries_[i].get();
-      if (spicked[i].tree.empty()) continue;
-      std::function<Status()> work;
-      if (options_.strategy == MaintenanceStrategy::kValidation &&
-          options_.merge_repair) {
-        uint64_t* rc = &srepairs[i];
-        work = [this, s, picked = spicked[i].tree, rc]() -> Status {
-          AUXLSM_RETURN_NOT_OK(
-              RunWithRetry("repair(" + s->def.name + ")", [&]() -> Status {
-                return RunMergeRepair(this, s, picked);
-              }));
-          (*rc)++;
+      const SecPick& pick = spicked[i];
+      if (pick.tree.empty()) continue;
+      if (repair) {
+        stasks.push_back([this, s, &pick]() -> Status {
+          AUXLSM_RETURN_NOT_OK(MergeStep(s->tree->options().name, [&]() {
+            return RunMergeRepair(this, s, pick.tree);
+          }));
+          stats_.repairs++;
           return Status::OK();
-        };
+        });
       } else {
-        work = [&merge_picked, s, tpicked = spicked[i].tree,
-                dpicked = spicked[i].deleted]() -> Status {
-          AUXLSM_RETURN_NOT_OK(merge_picked(s->tree.get(), tpicked));
-          if (!dpicked.empty()) {
-            AUXLSM_RETURN_NOT_OK(merge_picked(s->deleted_keys.get(), dpicked));
-          }
-          return Status::OK();
-        };
-      }
-      if (engine_parallel()) {
-        stasks.push_back(std::move(work));
-      } else {
-        AUXLSM_RETURN_NOT_OK(work());
+        stasks.push_back([&merge_picked, s, &pick]() -> Status {
+          AUXLSM_RETURN_NOT_OK(merge_picked(s->tree.get(), pick.tree));
+          if (pick.deleted.empty()) return Status::OK();
+          return merge_picked(s->deleted_keys.get(), pick.deleted);
+        });
       }
     }
-    if (!stasks.empty()) {
-      AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(stasks)));
-    }
-    for (uint64_t c : srepairs) round_repairs += c;
-    stats_.repairs += round_repairs;
+    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(stasks)));
     stats_.merges++;
   }
   return Status::OK();

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <thread>
@@ -115,8 +117,9 @@ struct DatasetOptions {
 
   // --- Maintenance engine (exec/maintenance.h) ------------------------------
   /// Threads used to run the indexes' flushes and merges concurrently.
-  /// 0 = one per hardware thread; 1 = the legacy serial path (identical
-  /// behavior to builds without the engine).
+  /// 0 = one per hardware thread; 1 = no worker pool: the scheduler runs
+  /// every flush build and merge task inline on the calling thread (the
+  /// same maintenance steps, one at a time — the serial engine).
   size_t maintenance_threads = 0;
   /// Merges of at least this many input bytes are additionally split into
   /// key-range partitions scanned in parallel (0 disables partitioning).
@@ -149,14 +152,6 @@ struct DatasetOptions {
   /// the merge queues fall more than `merge_queue_depth` flush rounds
   /// behind, replacing the raw 2x-budget wait-for-the-whole-cycle.
   size_t merge_queue_depth = 0;
-
-  /// Serial-path no-steal (writer_threads == 1): the legacy inline
-  /// budget-triggered flush can run *between an open explicit transaction's
-  /// operations* and flush its uncommitted entries to disk — a rollback then
-  /// cannot reach them (the pipeline path already defers sealing while
-  /// explicit transactions are open). true defers the inline flush the same
-  /// way; false keeps the seed behavior for bit-for-bit parity.
-  bool strict_no_steal = false;
 
   // --- Robustness (PR 6) ----------------------------------------------------
   /// Optional fault injector threaded through every modeled-storage seam
@@ -453,11 +448,9 @@ class Dataset {
   /// The dataset-owned tracer; null unless trace_buffer_bytes > 0.
   obs::Tracer* tracer() const { return tracer_.get(); }
 
-  /// The maintenance engine; null on the fully serial path. Non-null does
-  /// NOT imply a parallel pool: with merge_queue_depth > 0 (and
-  /// writer_threads > 1) the scheduler is kept alive even at
-  /// maintenance_threads = 1 solely for its merge queues — gate engine
-  /// fan-out on engine_parallel(), never on this pointer.
+  /// The maintenance engine; always present. With maintenance_threads = 1
+  /// it has no worker pool (parallel() is false) and runs every task
+  /// inline; its merge queues are used only with merge_queue_depth > 0.
   MaintenanceScheduler* maintenance() { return maintenance_.get(); }
 
   /// Total memory-component bytes across indexes (flush trigger input).
@@ -539,12 +532,8 @@ class Dataset {
   /// Decoupled merge scheduling is on: flush cycles enqueue merge work onto
   /// the scheduler's per-tree queues instead of running it inline.
   bool merge_queues_enabled() const {
-    return options_.merge_queue_depth > 0 && multi_writer() &&
-           maintenance_ != nullptr;
+    return options_.merge_queue_depth > 0 && multi_writer();
   }
-  /// True when the maintenance engine fans work out over a pool (a scheduler
-  /// kept solely for its merge queues still runs tasks inline/serially).
-  bool engine_parallel() const;
   /// Every index tree of the dataset (primary, pk, secondaries, deleted-key).
   std::vector<LsmTree*> AllTrees();
   /// Launches one background maintenance cycle if the budget is exceeded and
@@ -553,8 +542,9 @@ class Dataset {
   /// CheckBudgetAndMaintain).
   Status MaintainAsync(bool in_explicit_txn);
   /// One background cycle: seal (brief exclusive latch) -> build components
-  /// off-latch -> install (exclusive latch) -> merges (inline in coupled
-  /// mode; enqueued on the per-tree merge queues in decoupled mode).
+  /// off-latch -> install + seal-window bitmap fixup (exclusive latch) ->
+  /// merges (run in coupled mode; enqueued on the per-tree merge queues in
+  /// decoupled mode).
   Status MaintenanceCycle();
   /// Joins only the in-flight flush cycle (not the merge queues): the
   /// decoupled pipeline's 2x-budget wait, bounded by flush time.
@@ -573,10 +563,64 @@ class Dataset {
   /// Records a seal-window superseding write for the next fixup.
   void RecordBitmapFixup(const std::string& pk, Timestamp ts);
 
-  // dataset.cc
+  // --- Maintenance steps (dataset.cc) ---------------------------------------
+  // Each step exists once; the serial inline path (CheckBudgetAndMaintain ->
+  // FlushAllLocked + RunMerges), the background cycle (MaintenanceCycle) and
+  // the decoupled merge-queue jobs (EnqueueMergeWork) differ only in their
+  // latch scopes and seal-window policy.
+
+  /// One tree's sealed memtable in a flush round. `slot` is the tree's
+  /// position in the fixed enumeration (primary, pk index, then each
+  /// secondary's tree and deleted-key tree; absent trees keep their slot):
+  /// the device queue its build charges, on every engine.
+  struct SealedFlush {
+    LsmTree* tree;
+    std::shared_ptr<Memtable> mem;
+    uint32_t slot;
+    DiskComponentPtr built;  ///< set by BuildFlushRound
+  };
+  struct FlushRound {
+    std::vector<SealedFlush> trees;
+    Lsn flush_lsn = kInvalidLsn;  ///< max_lsn stamped on the new components
+  };
+  /// Flush step 1 (exclusive latch): seals every tree's active memtable and
+  /// collects every pending sealed memtable, including those a failed
+  /// earlier round left behind.
+  FlushRound SealFlushRound() REQUIRES(ingest_mu_);
+  /// Flush step 2 (any latch scope): builds every sealed memtable's
+  /// component as one scheduler task per memtable, each under retry with
+  /// the kFlushBuild failpoint. A failure installs nothing.
+  Status BuildFlushRound(FlushRound* round);
+  /// Flush step 3 (exclusive latch): one kInstall consult, then installs
+  /// every built component, stamps max_lsn, re-shares the Mutable-bitmap
+  /// pk-index bitmap and counts the flush.
+  Status InstallFlushRound(const FlushRound& round) REQUIRES(ingest_mu_);
+  /// Seal + build + install under the caller's exclusive latch, dropping
+  /// the seal-window fixup records (FlushAll and the serial inline path).
   Status FlushAllLocked() REQUIRES(ingest_mu_);
-  Status RunMerges();
-  Status ParallelMerges();
+  /// The one no-steal rule for budget-triggered flushes: due once the
+  /// memory budget is exceeded, deferred while an explicit transaction is
+  /// open (its uncommitted entries must stay within reach of rollback).
+  bool BudgetFlushDue() const REQUIRES(ingest_mu_);
+
+  /// The one merge step: RunWithRetry("merge(<tree>)") around a single
+  /// kMerge failpoint consult and `merge`. Every pick loop below uses it.
+  Status MergeStep(const std::string& tree,
+                   const std::function<Status()>& merge);
+  /// Plain merges of one tree until its policy is satisfied (large merges
+  /// may be partitioned by the scheduler).
+  Status MergeTreeToPolicy(LsmTree* tree);
+  /// Merge-repair merges for one secondary index until its policy is
+  /// satisfied (Validation strategy, §4.4).
+  Status MergeRepairToPolicy(SecondaryIndex* index);
+  /// Deleted-key merges for one secondary index until its policy is
+  /// satisfied (kDeletedKeyBtree, §4.1). `decoupled` = running as a
+  /// merge-queue job: picks are captured under a brief shared ingest latch
+  /// (see CorrelatedMerge).
+  Status DeletedKeyMergesToPolicy(SecondaryIndex* index, bool decoupled);
+  /// Strategy dispatch for one secondary index's non-correlated merges
+  /// (merge repair / deleted-key / plain).
+  Status SecondaryMergesToPolicy(SecondaryIndex* index, bool decoupled);
   /// Correlated merge rounds (§4.4). `decoupled` = running as a merge-queue
   /// job concurrent with flush installs: each round's range pick and
   /// per-tree component slices are captured under a brief *shared* ingest
@@ -584,23 +628,19 @@ class Dataset {
   /// trees is consistent), and the merges install by identity, which
   /// tolerates components prepended meanwhile.
   Status CorrelatedMerge(bool decoupled = false);
-  /// Merge-repair merges for one secondary index until its policy is
-  /// satisfied (Validation strategy, §4.4). Shared by the serial and
-  /// parallel engines so their behavior cannot drift.
-  Status MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
-                             uint64_t* repairs);
-  /// Deleted-key merges for one secondary index until its policy is
-  /// satisfied (kDeletedKeyBtree, §4.1). `decoupled` = running as a
-  /// merge-queue job: picks are captured under a brief shared ingest latch
-  /// (see CorrelatedMerge).
-  Status DeletedKeyMergesToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                  bool decoupled = false);
-  /// Strategy dispatch for one secondary index's non-correlated merges
-  /// (merge repair / deleted-key / plain). Shared by ParallelMerges and the
-  /// decoupled merge-queue jobs so their behavior cannot drift. Requires the
-  /// maintenance engine.
-  Status SecondaryMergesToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                 uint64_t* repairs, bool decoupled);
+  /// One serial stream of merge work: its merges never run concurrently.
+  struct MergeStream {
+    LsmTree* tree;  ///< the stream's queue key and accounting tree
+    std::function<Status()> work;
+  };
+  /// The merge streams of one round: a single correlated stream, or one
+  /// per tree (primary, pk index, one per secondary).
+  std::vector<MergeStream> MergeStreams(bool decoupled);
+  /// Runs one round's merge streams as scheduler tasks (coupled mode).
+  Status RunMerges();
+  /// Records the wall time since `wall0` (no-op when `hist` is null).
+  static void RecordWallNs(obs::Histogram* hist,
+                           std::chrono::steady_clock::time_point wall0);
   /// Evaluates the dataset-level tiering policy (merge_size_ratio /
   /// max_mergeable_bytes) over a component snapshot. Shared by the
   /// correlated and deleted-key pick paths so their policy cannot drift.

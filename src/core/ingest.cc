@@ -16,9 +16,10 @@ void PutIndex(LsmTree* tree, const Slice& key, const Slice& value,
               Timestamp ts, bool antimatter, Transaction* undo_txn) {
   if (undo_txn != nullptr) {
     // Undo closures may outlive this operation's latch hold; keep the target
-    // memtable alive by shared_ptr so it cannot dangle. The pipeline's seal
-    // phase defers while explicit transactions are open (no-steal), so the
-    // closures' target is still the live memtable when a rollback runs.
+    // memtable alive by shared_ptr so it cannot dangle. Budget-triggered
+    // flushes defer while explicit transactions are open (no-steal, see
+    // BudgetFlushDue), so the closures' target is still the live memtable
+    // when a rollback runs.
     std::shared_ptr<Memtable> mem = tree->active_memtable();
     OwnedEntry prev;
     const bool had_prev = mem->Get(key, &prev).ok();
@@ -481,18 +482,10 @@ Status Dataset::CheckBudgetAndMaintain(bool in_explicit_txn) {
   if (multi_writer()) return MaintainAsync(in_explicit_txn);
   if (MemComponentBytes() < options_.mem_budget_bytes) return Status::OK();
   WriteLatchGuard l(ingest_mu_);
-  if (MemComponentBytes() < options_.mem_budget_bytes) return Status::OK();
-  // Serial-path no-steal: an inline budget-triggered flush between an open
-  // explicit transaction's operations would write its uncommitted entries to
-  // disk, out of reach of the rollback closures. Defer exactly as the
-  // pipeline's seal phase does (the transaction's next operation — or the
-  // first op after it closes — re-triggers the flush). Gated on
-  // strict_no_steal: the default keeps the seed behavior bit-for-bit.
-  if (options_.strict_no_steal && txns_.active_transactions() > 0) {
-    return Status::OK();
-  }
-  // Serial inline cycle: same span structure as MaintenanceCycle so serial
-  // traces show the same seal -> flush_build -> install -> merge shape.
+  if (!BudgetFlushDue()) return Status::OK();
+  // Serial inline cycle: the same flush and merge steps as MaintenanceCycle,
+  // run under one exclusive latch hold, so serial traces show the same
+  // seal -> flush_build -> install -> merge shape.
   obs::TraceSpan cycle_span(tracer_.get(), "maintenance.cycle", "maintenance");
   const auto cycle_wall0 = std::chrono::steady_clock::now();
   Status s = FlushAllLocked();
@@ -500,12 +493,7 @@ Status Dataset::CheckBudgetAndMaintain(bool in_explicit_txn) {
     obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
     s = RunMerges();
   }
-  if (hist_cycle_wall_ != nullptr) {
-    hist_cycle_wall_->Record(uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - cycle_wall0)
-            .count()));
-  }
+  RecordWallNs(hist_cycle_wall_, cycle_wall0);
   if (!s.ok()) {
     // Serial inline maintenance failed past its retry budget. The op that
     // tripped the budget check already committed (its WAL records are

@@ -96,14 +96,13 @@ obs::MetricsSnapshot Dataset::MetricsSnapshot() {
     s.Set(p + ".disk_components", double(t->NumDiskComponents()));
   }
 
-  // Maintenance engine backlog (all zero on the serial inline path, where
-  // no scheduler exists — emitted anyway so the key set is stable).
-  const bool eng = maintenance_ != nullptr;
-  s.Set("exec.pool_queue_depth", eng ? double(maintenance_->PoolQueueDepth()) : 0);
+  // Maintenance engine backlog (all zero on the serial engine, which has no
+  // pool and no merge queues in use — emitted anyway so the key set is
+  // stable).
+  s.Set("exec.pool_queue_depth", double(maintenance_->PoolQueueDepth()));
   s.Set("exec.merge_rounds_pending",
-        eng ? double(maintenance_->PendingMergeRounds()) : 0);
-  s.Set("exec.merge_jobs_pending",
-        eng ? double(maintenance_->PendingMergeJobs()) : 0);
+        double(maintenance_->PendingMergeRounds()));
+  s.Set("exec.merge_jobs_pending", double(maintenance_->PendingMergeJobs()));
 
   // Fault injection activity, when armed.
   if (options_.fault_injector != nullptr) {

@@ -12,6 +12,7 @@
 
 #include "cache/tuple_cache.h"
 #include "core/dataset.h"
+#include "exec/maintenance.h"
 #include "format/key_codec.h"
 
 namespace auxlsm {
@@ -120,7 +121,7 @@ class FilterScanExecutor final : public QueryExecutor {
       comps_ = std::move(comps);
       overlaps_ = overlaps;
       include_memtable_ = mem_overlaps;
-      if (mem_overlaps && (dataset_->maintenance_ != nullptr ||
+      if (mem_overlaps && (dataset_->maintenance_->parallel() ||
                            dataset_->multi_writer())) {
         for (const auto& e : mem_) mem_ts_[e.key] = e.ts;
       }

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "exec/thread_pool.h"
-#include "fault/fault_injector.h"
 #include "io/io_engine.h"
 
 namespace auxlsm {
@@ -244,23 +243,9 @@ Status MaintenanceScheduler::RunAll(
   return WaitAll(futures);
 }
 
-Status MaintenanceScheduler::MergeToPolicy(LsmTree* tree, uint64_t* merges) {
-  if (tree == nullptr) return Status::OK();
-  std::vector<DiskComponentPtr> picked;
-  while (tree->PickMergeCandidates(&picked)) {
-    AUXLSM_RETURN_NOT_OK(MergeComponents(tree, picked));
-    if (merges != nullptr) (*merges)++;
-  }
-  return Status::OK();
-}
-
 Status MaintenanceScheduler::MergeComponents(
     LsmTree* tree, const std::vector<DiskComponentPtr>& picked) {
   if (picked.empty()) return Status::OK();
-  if (options_.fault != nullptr) {
-    AUXLSM_RETURN_NOT_OK(
-        options_.fault->Hit(failpoints::kMerge, options_.io));
-  }
   uint64_t total_bytes = 0;
   for (const auto& c : picked) total_bytes += c->size_bytes();
   const size_t parts = partitions();

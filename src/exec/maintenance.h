@@ -3,14 +3,24 @@
 //
 // Architecture / threading model of src/exec/:
 //
-//   Dataset (core/dataset.cc)                 MaintenanceScheduler
-//   ------------------------------            ----------------------------
-//   FlushAllLocked  ── tasks per tree ──────► RunAll: one flush per index
-//   RunMerges       ── tasks per tree ──────► RunAll: MergeToPolicy loops
-//   CorrelatedMerge ── tasks per round ─────► RunAll: ranged merges
-//                                             │
-//                                             ▼
-//                                       ThreadPool (N workers)
+//   Dataset (core/dataset.cc)                      MaintenanceScheduler
+//   ----------------------------------------       ------------------------
+//   Callers own only a latch scope and a seal-window policy:
+//     serial inline path: FlushAllLocked + RunMerges in one exclusive hold
+//     MaintenanceCycle:   seal | build off-latch | install + fixup | merges
+//   and share one implementation of each maintenance step:
+//     SealFlushRound
+//     BuildFlushRound    ── one task per sealed tree ──► RunAll
+//     InstallFlushRound
+//     RunMerges          ── one task per merge stream ─► RunAll
+//     CorrelatedMerge    ── one task per tree ─────────► RunAll
+//     EnqueueMergeWork   ── one job per merge stream ──► EnqueueMergeRound
+//     MergeStep: retry + the merge failpoint around every single merge
+//
+//   RunAll runs its tasks inline when threads == 1 (the serial engine) and
+//   on the ThreadPool (N workers) otherwise; EnqueueMergeRound feeds the
+//   per-tree merge queues (decoupled mode). Plain merges go through
+//   MergeComponents, which may split one merge into key-range partitions.
 //
 //   - Work is fanned out at *tree* granularity: the primary, primary-key,
 //     secondary, and deleted-key trees flush and merge concurrently. Merges
@@ -29,9 +39,10 @@
 //     just the coordinating thread.
 //   - Queue affinity: when MaintenanceOptions::io names a multi-queue
 //     IoEngine, RunAll binds task i to device queue (i % queues) for the
-//     task's duration (IoQueueScope), so fanned-out flushes and partitioned
+//     task's duration (IoQueueScope), so fanned-out merges and partitioned
 //     merge scans charge independent queue clocks and genuinely overlap in
-//     *simulated* time, not just wall-clock. The mapping is by task index,
+//     *simulated* time, not just wall-clock. (Flush builds rebind inside
+//     their task to their tree's fixed slot.) The mapping is by task index,
 //     not worker thread, so it is deterministic under work stealing and
 //     "helping", and it applies on the serial inline path too (modeled
 //     device concurrency does not require host concurrency). With a
@@ -73,7 +84,6 @@ namespace auxlsm {
 
 class ThreadPool;
 class IoEngine;
-class FaultInjector;
 
 struct MaintenanceOptions {
   /// Worker threads. 0 = one per hardware thread; 1 = no pool (every
@@ -90,10 +100,6 @@ struct MaintenanceOptions {
   /// (i % queues). Null or single-queue = every task charges queue 0, the
   /// legacy single-head accounting.
   IoEngine* io = nullptr;
-  /// Optional fault injector (fault/fault_injector.h): MergeComponents hits
-  /// the "maintenance.merge" failpoint before any merge I/O. Null disables
-  /// (a pure branch — no behavior change).
-  FaultInjector* fault = nullptr;
 };
 
 class MaintenanceScheduler {
@@ -118,11 +124,6 @@ class MaintenanceScheduler {
   /// Runs every task (on the pool when parallel, else inline) and returns
   /// the first non-OK status. All tasks run to completion either way.
   Status RunAll(std::vector<std::function<Status()>>&& tasks);
-
-  /// Repeatedly consults `tree`'s merge policy and merges until it is
-  /// satisfied, splitting large merges into key-range partitions. Adds the
-  /// number of merges run to *merges (may be null).
-  Status MergeToPolicy(LsmTree* tree, uint64_t* merges);
 
   /// One merge of `picked` into a single component, scanned as parallel
   /// key-range partitions when profitable, else delegated to

@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "common/random.h"
 #include "core/dataset.h"
@@ -47,6 +48,30 @@ DatasetOptions Opts(MaintenanceStrategy s, FaultInjector* fault) {
   // change any query outcome.
   o.tuple_cache_bytes = 256 << 10;
   return o;
+}
+
+// Engine modes pinned explicitly, so a test means the same engine on every
+// host instead of inheriting its core count (maintenance_threads = 0).
+struct EngineMode {
+  const char* name;
+  size_t maintenance_threads;
+  size_t writer_threads;
+  size_t merge_queue_depth;
+};
+
+const EngineMode kEngineModes[] = {
+    {"serial", 1, 1, 0},
+    {"parallel", 4, 1, 0},
+    {"pipeline", 1, 4, 0},
+    {"decoupled", 1, 4, 4},
+};
+
+void PrintTo(const EngineMode& mode, std::ostream* os) { *os << mode.name; }
+
+void ApplyMode(const EngineMode& mode, DatasetOptions* o) {
+  o->maintenance_threads = mode.maintenance_threads;
+  o->writer_threads = mode.writer_threads;
+  o->merge_queue_depth = mode.merge_queue_depth;
 }
 
 TweetRecord MakeTweet(uint64_t id, uint64_t user, uint64_t time) {
@@ -238,10 +263,14 @@ INSTANTIATE_TEST_SUITE_P(
 // lands inside a retry-wrapped maintenance step, so with an adequate retry
 // budget NO error ever surfaces to the workload and the dataset stays
 // healthy. The MaintenanceStats counters must show the absorbed failures.
-TEST(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
+// Runs on every engine mode: each one must wrap every step in the retry.
+class FaultSelfHealingTest : public ::testing::TestWithParam<EngineMode> {};
+
+TEST_P(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
   FaultInjector fault(99);
   Env env(TestEnv(&fault));
   DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault);
+  ApplyMode(GetParam(), &o);
   o.maintenance_retry_limit = 6;
   Dataset ds(&env, o);
   std::map<uint64_t, TweetRecord> model;
@@ -276,6 +305,81 @@ TEST(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
 
   ValidateRecovered(&ds, model, "self-healing");
 }
+
+INSTANTIATE_TEST_SUITE_P(EngineModes, FaultSelfHealingTest,
+                         ::testing::ValuesIn(kEngineModes),
+                         [](const ::testing::TestParamInfo<EngineMode>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// The merge failpoint contract: every merge attempt consults
+// "maintenance.merge" exactly once (never on a pick that finds nothing to
+// merge), and every attempt runs under the retry policy. With every third
+// attempt failing transiently, the site's hits are then exactly the merges
+// that succeeded plus the retried attempts — on every engine mode and every
+// non-correlated merge step (plain, merge repair, deleted-key merges).
+class MergeFailpointContractTest
+    : public ::testing::TestWithParam<
+          std::tuple<MaintenanceStrategy, EngineMode>> {};
+
+TEST_P(MergeFailpointContractTest, OneConsultPerMergeAttemptAllRetried) {
+  const auto& [strategy, mode] = GetParam();
+  const std::string trace =
+      std::string(StrategyName(strategy)) + "/" + mode.name;
+  FaultInjector fault(17);
+  Env env(TestEnv(&fault));
+  DatasetOptions o = Opts(strategy, &fault);  // Validation: merge_repair on
+  ApplyMode(mode, &o);
+  // Concurrent merges interleave their consults, so one merge may draw
+  // several failing turns in a row; the budget must absorb them all.
+  o.maintenance_retry_limit = 6;
+  Dataset ds(&env, o);
+  std::map<uint64_t, TweetRecord> model;
+  Random rng(5150);
+  uint64_t time = 0;
+
+  fault.Arm(failpoints::kMerge,
+            FaultSpec::ErrorNth(Status::IOError("transient merge fault"), 3,
+                                /*once=*/false));
+  for (int step = 0; step < 1500; step++) {
+    const uint64_t id = 1 + rng.Uniform(kKeySpace);
+    if (rng.Bernoulli(0.8)) {
+      const TweetRecord r = MakeTweet(id, rng.Uniform(kUserSpace), ++time);
+      ASSERT_TRUE(ds.Upsert(r).ok()) << trace << " step " << step;
+      model[id] = r;
+    } else {
+      ASSERT_TRUE(ds.Delete(id).ok()) << trace << " step " << step;
+      model.erase(id);
+    }
+  }
+  ASSERT_TRUE(ds.WaitForMaintenance().ok()) << trace;
+
+  const FaultSiteStats ss = fault.site_stats(failpoints::kMerge);
+  const uint64_t merges = ds.ingest_stats().merges.load();
+  const MaintenanceStats& ms = ds.maintenance_stats();
+  ASSERT_GE(merges, 3u) << trace << ": too few merges to reach the fault";
+  EXPECT_GE(ss.fires, 1u) << trace;
+  EXPECT_EQ(ss.fires, ms.retries_attempted.load()) << trace;
+  EXPECT_EQ(ss.hits, merges + ms.retries_attempted.load()) << trace;
+  EXPECT_EQ(ms.rounds_abandoned.load(), 0u) << trace;
+  EXPECT_EQ(ds.health(), DatasetHealth::kHealthy) << trace;
+  ValidateRecovered(&ds, model, trace);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StepsAndModes, MergeFailpointContractTest,
+    ::testing::Combine(::testing::Values(MaintenanceStrategy::kEager,
+                                         MaintenanceStrategy::kValidation,
+                                         MaintenanceStrategy::kDeletedKeyBtree),
+                       ::testing::ValuesIn(kEngineModes)),
+    [](const auto& info) {
+      std::string name = std::string(StrategyName(std::get<0>(info.param))) +
+                         "_" + std::get<1>(info.param).name;
+      for (auto& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // Retry-budget exhaustion: a persistent transient fault on flush builds
 // degrades the dataset to read-only. Ingest fails fast with the sticky

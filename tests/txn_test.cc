@@ -276,7 +276,7 @@ TEST(RecoveryTest, BitmapRedoUsesUpdateBitAndCheckpoint) {
   EXPECT_EQ(bitmap_redo[0], "z");
 }
 
-// --- Serial-path no-steal (DatasetOptions::strict_no_steal) ------------------
+// --- Serial-path no-steal ----------------------------------------------------
 
 namespace nosteal {
 
@@ -298,40 +298,23 @@ TweetRecord MakeTweet(uint64_t id) {
   return r;
 }
 
-DatasetOptions SmallBudget(bool strict) {
+DatasetOptions SmallBudget() {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 4 << 10;  // a handful of records triggers the flush
-  o.strict_no_steal = strict;
+  o.maintenance_threads = 1;
   return o;
 }
 
 }  // namespace nosteal
 
-// Documents the legacy serial behavior the knob defaults to: an inline
-// budget-triggered flush runs *between an open explicit transaction's
-// operations* and writes its uncommitted entries to disk (a steal) — the
-// seed behavior, kept bit-for-bit while strict_no_steal is off.
-TEST(SerialNoStealTest, LegacyInlineFlushStealsUncommittedEntries) {
-  Env env(nosteal::TestEnv());
-  Dataset ds(&env, nosteal::SmallBudget(/*strict=*/false));
-  auto txn = ds.Begin();
-  for (uint64_t id = 1; id <= 60; id++) {
-    ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
-  }
-  // The transaction is still open, yet its entries were flushed to disk.
-  EXPECT_GT(ds.ingest_stats().flushes, 0u);
-  EXPECT_GT(ds.primary()->NumDiskComponents(), 0u);
-  ASSERT_TRUE(txn->Abort().ok());
-}
-
-// The fix: with strict_no_steal the inline flush defers while an explicit
-// transaction is open (matching the pipeline's seal deferral), so a rollback
-// always finds its entries still in the memtable — no uncommitted data ever
-// reaches disk.
+// The serial inline budget-triggered flush defers while an explicit
+// transaction is open (the same no-steal rule as the pipeline's seal), so a
+// rollback always finds its entries still in the memtable — no uncommitted
+// data ever reaches disk.
 TEST(SerialNoStealTest, StrictModeDefersFlushUntilTransactionCloses) {
   Env env(nosteal::TestEnv());
-  Dataset ds(&env, nosteal::SmallBudget(/*strict=*/true));
+  Dataset ds(&env, nosteal::SmallBudget());
   auto txn = ds.Begin();
   for (uint64_t id = 1; id <= 60; id++) {
     ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
@@ -352,11 +335,11 @@ TEST(SerialNoStealTest, StrictModeDefersFlushUntilTransactionCloses) {
   EXPECT_TRUE(ds.GetById(5, &r).IsNotFound());
 }
 
-// Committed explicit transactions flush normally under strict mode: the
-// deferral ends as soon as the transaction closes.
+// Committed explicit transactions flush normally: the deferral ends as soon
+// as the transaction closes.
 TEST(SerialNoStealTest, StrictModeFlushesCommittedWork) {
   Env env(nosteal::TestEnv());
-  Dataset ds(&env, nosteal::SmallBudget(/*strict=*/true));
+  Dataset ds(&env, nosteal::SmallBudget());
   auto txn = ds.Begin();
   for (uint64_t id = 1; id <= 60; id++) {
     ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
