@@ -21,22 +21,20 @@ struct PendingKey {
   bool done = false;
 };
 
-// Searches the view's memory components (active + sealed) for every pending
-// key; marks hits done.
-void SearchMemtable(const LsmReadView& view, std::vector<PendingKey>& pending,
-                    bool raw, std::vector<FetchedEntry>* out,
-                    PointLookupStats* stats) {
-  for (auto& p : pending) {
-    OwnedEntry e;
-    if (!view.GetFromMem(p.req->pk, &e).ok()) continue;
-    p.done = true;
-    stats->found++;
-    const bool alive = !e.antimatter;
-    if (alive || raw) {
-      out->push_back(FetchedEntry{p.req->pk, std::move(e.value), e.ts, alive});
-    }
+// Keys of a batch the quota left unanswered when it ran out at pending[cut]
+// during a pass over one source: every unfound key after the cut, and the
+// unfound keys before it too unless that pass was their last source (then
+// they are proven absent).
+uint64_t UnresolvedAtCut(const std::vector<PendingKey>& pending, size_t cut,
+                         bool last_source) {
+  uint64_t n = 0;
+  for (size_t i = 0; i < pending.size(); i++) {
+    if (!pending[i].done && (i > cut || !last_source)) n++;
   }
+  return n;
 }
+
+constexpr size_t kNoCut = SIZE_MAX;
 
 }  // namespace
 
@@ -47,6 +45,18 @@ Status BulkPointLookup(const LsmReadView& view,
                        PointLookupStats* stats) {
   PointLookupStats local;
   local.keys = requests.size();
+  size_t alive_left = options.max_alive;
+  // Records that `p` resolved to an entry; true once the quota is spent, i.e.
+  // the lookup must stop right here.
+  auto hit = [&](PendingKey& p, std::string value, Timestamp ts, bool alive) {
+    p.done = true;
+    local.found++;
+    if (alive || options.raw) {
+      out->push_back(FetchedEntry{p.req->pk, std::move(value), ts, alive});
+    }
+    if (alive) alive_left--;
+    return alive_left == 0;
+  };
 
   const size_t batch_keys =
       options.batched
@@ -55,6 +65,10 @@ Status BulkPointLookup(const LsmReadView& view,
 
   size_t start = 0;
   while (start < requests.size()) {
+    if (alive_left == 0) {  // max_alive == 0
+      local.unresolved += requests.size() - start;
+      break;
+    }
     const size_t end = options.batched
                            ? std::min(requests.size(), start + batch_keys)
                            : requests.size();
@@ -75,15 +89,29 @@ Status BulkPointLookup(const LsmReadView& view,
                          return a.req->pk < b.req->pk;
                        });
     }
-    SearchMemtable(view, pending, options.raw, out, &local);
     // The view's memtables were captured before its components: a concurrent
     // flush moves entries memtable -> new component, so the reverse order
     // could make a key invisible to both probes.
     const auto& components = view.components;
 
-    if (!options.batched) {
+    // Memory components (active + sealed) first, for every pending key.
+    size_t cut = kNoCut;
+    bool cut_in_last_source = components.empty();
+    for (size_t i = 0; i < pending.size(); i++) {
+      OwnedEntry e;
+      if (!view.GetFromMem(pending[i].req->pk, &e).ok()) continue;
+      if (hit(pending[i], std::move(e.value), e.ts, !e.antimatter)) {
+        cut = i;
+        break;
+      }
+    }
+
+    if (cut == kNoCut && !options.batched) {
       // Naive: per key, search components newest to oldest independently.
-      for (auto& p : pending) {
+      // Keys before a cut went through every component: never unresolved.
+      cut_in_last_source = true;
+      for (size_t i = 0; i < pending.size() && cut == kNoCut; i++) {
+        auto& p = pending[i];
         if (p.done) continue;
         for (const auto& c : components) {
           if (c->id().max_ts < p.req->prune_min_ts) {
@@ -103,27 +131,26 @@ Status BulkPointLookup(const LsmReadView& view,
               c->tree().GetWithOrdinal(p.req->pk, &entry, &backing, &ordinal);
           if (st.IsNotFound()) continue;
           AUXLSM_RETURN_NOT_OK(st);
-          p.done = true;
-          local.found++;
-          const bool alive = !entry.antimatter && c->EntryValid(ordinal);
-          if (alive || options.raw) {
-            out->push_back(FetchedEntry{p.req->pk, entry.value.ToString(),
-                                        entry.ts, alive});
+          if (hit(p, entry.value.ToString(), entry.ts,
+                  !entry.antimatter && c->EntryValid(ordinal))) {
+            cut = i;
           }
           break;
         }
       }
-    } else {
+    } else if (cut == kNoCut) {
       // Batched (§3.2): per component, probe the batch's unfound keys in
       // ascending key order so leaf pages are read sequentially.
       size_t remaining = 0;
       for (const auto& p : pending) {
         if (!p.done) remaining++;
       }
-      for (const auto& c : components) {
+      for (size_t ci = 0; ci < components.size() && cut == kNoCut; ci++) {
         if (remaining == 0) break;
+        const auto& c = components[ci];
         StatefulBtreeCursor cursor(&c->tree());
-        for (auto& p : pending) {
+        for (size_t i = 0; i < pending.size(); i++) {
+          auto& p = pending[i];
           if (p.done) continue;
           if (c->id().max_ts < p.req->prune_min_ts) {
             local.components_skipped_by_id++;
@@ -152,16 +179,20 @@ Status BulkPointLookup(const LsmReadView& view,
             }
           }
           if (!found) continue;
-          p.done = true;
           remaining--;
-          local.found++;
-          const bool alive = !entry.antimatter && c->EntryValid(ordinal);
-          if (alive || options.raw) {
-            out->push_back(FetchedEntry{p.req->pk, entry.value.ToString(),
-                                        entry.ts, alive});
+          if (hit(p, entry.value.ToString(), entry.ts,
+                  !entry.antimatter && c->EntryValid(ordinal))) {
+            cut = i;
+            cut_in_last_source = ci + 1 == components.size();
+            break;
           }
         }
       }
+    }
+    if (cut != kNoCut) {
+      local.unresolved += UnresolvedAtCut(pending, cut, cut_in_last_source) +
+                          (requests.size() - end);
+      break;
     }
     start = end;
   }

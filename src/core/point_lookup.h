@@ -9,6 +9,7 @@
 // the price of results coming back out of primary-key order.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lsm/lsm_tree.h"
@@ -32,6 +33,17 @@ struct PointLookupOptions {
   /// bitmap-invalid ones are reported as dead). Used by timestamp validation
   /// against the primary key index.
   bool raw = false;
+  /// Live-entry quota: stop probing once this many *alive* entries have been
+  /// appended. The output is then exactly the first `max_alive` alive
+  /// entries of the unbounded call's discovery-order output (plus, in raw
+  /// mode, the dead entries discovered before the last of them); the
+  /// memtable pass, the batched per-component loop (across batches) and the
+  /// naive per-key loop all stop at that point, so the requests after it
+  /// cost no Bloom probe and no page read. Requests left without an answer
+  /// are reported in PointLookupStats::unresolved. Only callers that emit
+  /// the fetched entries in discovery order and filter none of them may set
+  /// it (the secondary query's Limit(k) fetch, query.cc).
+  size_t max_alive = SIZE_MAX;
 };
 
 struct FetchedEntry {
@@ -49,6 +61,10 @@ struct PointLookupStats {
   uint64_t tree_probes = 0;
   uint64_t components_skipped_by_id = 0;  ///< pID pruning
   uint64_t batches = 0;
+  /// Requests neither found nor proven absent because max_alive stopped the
+  /// lookup first; keys - unresolved requests were resolved. 0 when the
+  /// quota never bound.
+  uint64_t unresolved = 0;
 };
 
 /// A pinned read view of one LSM tree: its memtable set and disk-component
@@ -91,7 +107,8 @@ struct LsmReadView {
 /// Results are appended to *out in discovery order — primary-key order for
 /// the naive algorithm, batch/component order for the batched one. Dead
 /// entries (anti-matter / bitmap-invalid newest versions) are only appended
-/// in raw mode.
+/// in raw mode. options.max_alive truncates the output to a prefix of that
+/// order (see PointLookupOptions).
 Status BulkPointLookup(const LsmReadView& view,
                        const std::vector<FetchRequest>& requests,
                        const PointLookupOptions& options,

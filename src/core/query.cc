@@ -5,9 +5,14 @@
 // The candidate pipeline runs in *chunks*. An unlimited query processes one
 // chunk covering the whole candidate stream — operator order, batching
 // boundaries, and therefore result order and counters are exactly the
-// pre-cursor implementation's. A Limit(k) query pulls small chunks and stops
-// as soon as k rows are out, so the secondary scan, the validation lookups,
-// and the record fetches all terminate early.
+// pre-cursor implementation's. A Limit(k) query pulls chunks sized to the
+// remaining limit and stops pulling once k rows are out, so the secondary
+// scan and the validation lookups stop early. The chunk's record fetch stops
+// at the k-th live record (PointLookupOptions::max_alive); its output is a
+// prefix of the unbounded fetch's, so rows and order are unchanged. Shapes
+// whose rows are not a prefix of the fetch order fetch the whole chunk:
+// sort_results_by_pk (re-sorts the chunk), direct validation and TimeRange
+// (both drop fetched records).
 #include <algorithm>
 #include <map>
 #include <set>
@@ -459,16 +464,26 @@ class SecondaryQueryExecutor final : public QueryExecutor {
       }
     }
 
-    // 4. Fetch records from the primary index.
-    std::vector<FetchedEntry> fetched;
-    AUXLSM_RETURN_NOT_OK(BulkPointLookup(fetch_view_, requests,
-                                         MakeLookupOptions(opts_), &fetched));
-
-    // 5. Direct validation re-checks the search condition on the records
-    // (Fig 5a); dead keys simply fetch nothing.
+    // 4. Fetch records from the primary index. When every fetched live
+    // record becomes a row in fetch order, stop at the remaining limit.
     const bool recheck =
         validation_ == SecondaryQueryOptions::Validation::kDirect;
-    validated_out_ += requests.size() - fetched.size();
+    PointLookupOptions fetch_opts = MakeLookupOptions(opts_);
+    if (query_.limit() != 0 && !opts_.sort_results_by_pk && !recheck &&
+        !query_.has_time_range()) {
+      fetch_opts.max_alive =
+          size_t(query_.limit() - std::min(query_.limit(), rows_buffered_));
+    }
+    std::vector<FetchedEntry> fetched;
+    PointLookupStats fetch_stats;
+    AUXLSM_RETURN_NOT_OK(BulkPointLookup(fetch_view_, requests, fetch_opts,
+                                         &fetched, &fetch_stats));
+
+    // 5. Direct validation re-checks the search condition on the records
+    // (Fig 5a); dead keys simply fetch nothing, and requests the quota left
+    // unprobed were not validated out.
+    validated_out_ +=
+        requests.size() - fetch_stats.unresolved - fetched.size();
     const size_t first_record = buffer_.records.size();
     for (auto& e : fetched) {
       if (CountBudgetReached()) break;

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <thread>
 
+#include "common/random.h"
 #include "core/dataset.h"
 #include "format/key_codec.h"
 
@@ -93,6 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(StrategyTest, CursorMatchesLegacyRowsOrderAndCounters) {
   Env env(TestEnv());
   DatasetOptions o;
+  o.maintenance_threads = 1;
   o.strategy = GetParam();
   o.mem_budget_bytes = 1 << 30;  // manual flushes only
   Dataset ds(&env, o);
@@ -189,6 +192,7 @@ TEST_P(StrategyTest, CursorMatchesLegacyRowsOrderAndCounters) {
 TEST_P(StrategyTest, LimitedCursorPaginatesWithoutDuplicates) {
   Env env(TestEnv());
   DatasetOptions o;
+  o.maintenance_threads = 1;
   o.strategy = GetParam();
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
@@ -233,9 +237,161 @@ TEST_P(StrategyTest, LimitedCursorPaginatesWithoutDuplicates) {
   EXPECT_EQ(seen, want);
 }
 
+// A seeded multi-component dataset: 2,400 inserts over 48 users flushed
+// every 400, then 600 upserts (most move their record to another user) and
+// 120 deletes, each half flushed and half left in the memtable.
+void LoadSeeded(Dataset* ds) {
+  Random rng(20190701);
+  uint64_t time = 0;
+  for (uint64_t id = 1; id <= 2400; id++) {
+    ASSERT_TRUE(ds->Upsert(MakeTweet(id, rng.Uniform(48), ++time)).ok());
+    if (id % 400 == 0) {
+      ASSERT_TRUE(ds->FlushAll().ok());
+    }
+  }
+  for (int i = 0; i < 600; i++) {
+    const uint64_t id = rng.Range(1, 2400);
+    ASSERT_TRUE(ds->Upsert(MakeTweet(id, rng.Uniform(48), ++time)).ok());
+    if (i == 299) {
+      ASSERT_TRUE(ds->FlushAll().ok());
+    }
+  }
+  std::set<uint64_t> deleted;
+  while (deleted.size() < 120) {
+    const uint64_t id = rng.Range(1, 2400);
+    if (!deleted.insert(id).second) continue;
+    ASSERT_TRUE(ds->Delete(id).ok());
+    if (deleted.size() == 60) {
+      ASSERT_TRUE(ds->FlushAll().ok());
+    }
+  }
+}
+
+/// Order-sensitive FNV-1a fold of emitted ids.
+uint64_t FoldIds(const std::vector<uint64_t>& ids) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint64_t id : ids) {
+    h ^= id;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct LimitPin {
+  const char* strategy;
+  const char* shape;
+  uint64_t rows;
+  uint64_t fold;  ///< FoldIds of the ids in emission order
+};
+
+// Rows of limited cursors over LoadSeeded, captured from the pipeline that
+// fetched every candidate of a chunk (before the fetch stopped at the
+// remaining limit). The sorted / direct / timerange shapes opt out of the
+// fetch quota; the others run with it.
+constexpr LimitPin kLimitPins[] = {
+    {"eager", "limit1_page1", 1, 0x44bd79d473cd7c23ull},
+    {"eager", "limit7_page4", 7, 0x53d9c871568af9c0ull},
+    {"eager", "limit30_page10", 30, 0x20952b2a59a6d41bull},
+    {"eager", "limit1000_page64", 1000, 0xa4c0de9db8bf6397ull},
+    {"eager", "sorted_limit30", 30, 0xc2e07c8efa46274bull},
+    {"eager", "direct_limit30", 30, 0x20952b2a59a6d41bull},
+    {"eager", "timerange_limit30", 30, 0x6e5322703de8d88full},
+    {"validation", "limit1_page1", 1, 0x44bd79d473cd7c23ull},
+    {"validation", "limit7_page4", 7, 0x53d3ec71568104ecull},
+    {"validation", "limit30_page10", 30, 0xc1083a5c0e13d1fdull},
+    {"validation", "limit1000_page64", 1000, 0x68699ed8e2ca3503ull},
+    {"validation", "sorted_limit30", 30, 0x91218b7512d5edceull},
+    {"validation", "direct_limit30", 30, 0x56cb4ead74e538acull},
+    {"validation", "timerange_limit30", 30, 0xe0922e5896e5d512ull},
+    {"mutable-bitmap", "limit1_page1", 1, 0x44bd79d473cd7c23ull},
+    {"mutable-bitmap", "limit7_page4", 7, 0x53d3ec71568104ecull},
+    {"mutable-bitmap", "limit30_page10", 30, 0xc1083a5c0e13d1fdull},
+    {"mutable-bitmap", "limit1000_page64", 1000, 0x68699ed8e2ca3503ull},
+    {"mutable-bitmap", "sorted_limit30", 30, 0x91218b7512d5edceull},
+    {"mutable-bitmap", "direct_limit30", 30, 0x56cb4ead74e538acull},
+    {"mutable-bitmap", "timerange_limit30", 30, 0xe0922e5896e5d512ull},
+    {"deleted-key-btree", "limit1_page1", 1, 0x44bd79d473cd7c23ull},
+    {"deleted-key-btree", "limit7_page4", 7, 0x53d3ec71568104ecull},
+    {"deleted-key-btree", "limit30_page10", 30, 0xc1083a5c0e13d1fdull},
+    {"deleted-key-btree", "limit1000_page64", 1000, 0x68699ed8e2ca3503ull},
+    {"deleted-key-btree", "sorted_limit30", 30, 0x91218b7512d5edceull},
+    {"deleted-key-btree", "direct_limit30", 30, 0x56cb4ead74e538acull},
+    {"deleted-key-btree", "timerange_limit30", 30, 0xe0922e5896e5d512ull},
+};
+
+// A limited cursor emits exactly the pinned rows in the pinned order, under
+// every strategy, whether or not its fetch carries the live-record quota.
+TEST_P(StrategyTest, LimitedCursorRowsMatchPinnedIds) {
+  Env env(TestEnv());
+  DatasetOptions o;
+  o.strategy = GetParam();
+  o.maintenance_threads = 1;
+  o.mem_budget_bytes = 1 << 30;
+  Dataset ds(&env, o);
+  LoadSeeded(&ds);
+
+  struct Shape {
+    const char* name;
+    uint64_t limit;
+    size_t page;
+    SecondaryQueryOptions q;
+    bool time_range = false;
+  };
+  SecondaryQueryOptions sorted;
+  sorted.sort_results_by_pk = true;
+  SecondaryQueryOptions direct;
+  direct.validation = SecondaryQueryOptions::Validation::kDirect;
+  const Shape shapes[] = {
+      {"limit1_page1", 1, 1, {}},
+      {"limit7_page4", 7, 4, {}},
+      {"limit30_page10", 30, 10, {}},
+      {"limit1000_page64", 1000, 64, {}},
+      {"sorted_limit30", 30, 10, sorted},
+      {"direct_limit30", 30, 10, direct},
+      {"timerange_limit30", 30, 10, {}, true},
+  };
+  const std::string strategy = StrategyName(GetParam());
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    ReadOptions ro;
+    ro.secondary = shape.q;
+    ReadQuery q = Query().Secondary().Range(0, 23).Limit(shape.limit)
+                      .PageSize(shape.page).Options(ro);
+    if (shape.time_range) q.TimeRange(0, 1500);
+    auto cur_or = ds.NewCursor(q);
+    ASSERT_TRUE(cur_or.ok());
+    auto cur = std::move(cur_or).value();
+    std::vector<uint64_t> ids;
+    QueryPage page;
+    while (!cur->done()) {
+      ASSERT_TRUE(cur->Next(&page).ok());
+      EXPECT_LE(page.rows(), shape.page);
+      for (const auto& r : page.records) ids.push_back(r.id);
+    }
+    char actual[160];
+    std::snprintf(actual, sizeof(actual),
+                  "{\"%s\", \"%s\", %zu, 0x%016llxull},", strategy.c_str(),
+                  shape.name, ids.size(), (unsigned long long)FoldIds(ids));
+    const LimitPin* pin = nullptr;
+    for (const auto& p : kLimitPins) {
+      if (strategy == p.strategy && std::string(shape.name) == p.shape) {
+        pin = &p;
+      }
+    }
+    if (pin == nullptr) {
+      ADD_FAILURE() << "no pin; actual " << actual;
+      continue;
+    }
+    EXPECT_EQ(ids.size(), pin->rows) << "actual " << actual;
+    EXPECT_EQ(FoldIds(ids), pin->fold) << "actual " << actual;
+  }
+}
+
 // Acceptance: a Limit(k) secondary query does strictly less work than the
 // unlimited query — fewer candidates pulled and fewer simulated-I/O
-// microseconds — on identically rebuilt datasets (cold caches both times).
+// microseconds — on identically rebuilt datasets, each queried from a cold
+// buffer cache. No limit, however close to the result size, charges more
+// modeled I/O than the unlimited query.
 TEST(LimitWorkTest, LimitDoesStrictlyLessWork) {
   EnvOptions eo;
   eo.page_size = 1024;
@@ -250,6 +406,7 @@ TEST(LimitWorkTest, LimitDoesStrictlyLessWork) {
   auto run = [&](uint64_t limit) {
     Env env(eo);
     DatasetOptions o;
+    o.maintenance_threads = 1;
     o.strategy = MaintenanceStrategy::kEager;
     o.mem_budget_bytes = 1 << 30;
     Dataset ds(&env, o);
@@ -259,6 +416,7 @@ TEST(LimitWorkTest, LimitDoesStrictlyLessWork) {
       if (i % 600 == 0) EXPECT_TRUE(ds.FlushAll().ok());
     }
     EXPECT_TRUE(ds.FlushAll().ok());
+    env.cache()->Clear();
     auto cur_or =
         ds.NewCursor(Query().Secondary().Range(0, 49).Limit(limit).PageSize(16));
     EXPECT_TRUE(cur_or.ok());
@@ -281,6 +439,12 @@ TEST(LimitWorkTest, LimitDoesStrictlyLessWork) {
   EXPECT_LT(limited.candidates, unlimited.candidates);  // strictly fewer
   EXPECT_GT(limited.sim_us, 0.0);
   EXPECT_LT(limited.sim_us, unlimited.sim_us);  // strictly less modeled I/O
+
+  for (uint64_t limit : {1u, 100u, 1000u, 1400u, 1500u, 5000u}) {
+    const Run r = run(limit);
+    EXPECT_EQ(r.rows, std::min<uint64_t>(limit, unlimited.rows));
+    EXPECT_LE(r.sim_us, unlimited.sim_us) << "limit " << limit;
+  }
 }
 
 // Pagination-resume stability: a cursor opened before concurrent writers
@@ -346,6 +510,7 @@ TEST(ConcurrentReadTest, PaginationStableUnderConcurrentWriters) {
 TEST(CatalogTest, SecondaryByNameAndCheckedIndexing) {
   Env env(TestEnv());
   DatasetOptions o;
+  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 30;
   o.secondary_indexes = {SecondaryIndexDef::UserId(),
@@ -384,6 +549,7 @@ TEST(CatalogTest, SecondaryByNameAndCheckedIndexing) {
 TEST(ComposeTest, SecondaryQueryWithTimeRange) {
   Env env(TestEnv());
   DatasetOptions o;
+  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kValidation;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
@@ -417,6 +583,7 @@ TEST(ComposeTest, SecondaryQueryWithTimeRange) {
 TEST(CountOnlyTest, SecondaryCountOnlyReportsAndHonorsLimit) {
   Env env(TestEnv());
   DatasetOptions o;
+  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
@@ -449,6 +616,7 @@ TEST(CountOnlyTest, SecondaryCountOnlyReportsAndHonorsLimit) {
 TEST(PlanTest, PointReadsAndInvalidPlans) {
   Env env(TestEnv());
   DatasetOptions o;
+  o.maintenance_threads = 1;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
   ASSERT_TRUE(ds.Upsert(MakeTweet(42, 7, 1)).ok());
