@@ -251,11 +251,14 @@ inline bool WriteChromeTrace(obs::Tracer* tracer, const std::string& path) {
 /// serial-path sections (maintenance_threads=1, writers=1, queues=1), whose
 /// simulated costs are bit-for-bit reproducible. The job diffs these lines
 /// across --queues=1 and --queues=4 runs; any difference means the
-/// multi-queue engine perturbed the legacy serial accounting.
+/// multi-queue engine perturbed the legacy serial accounting. `extra`
+/// appends further `key=value` fields.
 inline void PrintDigest(const std::string& section, double simulated_us,
-                        double critical_path_us) {
-  std::printf("DIGEST %-24s sim_us=%.3f crit_us=%.3f\n", section.c_str(),
-              simulated_us, critical_path_us);
+                        double critical_path_us,
+                        const std::string& extra = "") {
+  std::printf("DIGEST %-24s sim_us=%.3f crit_us=%.3f%s%s\n", section.c_str(),
+              simulated_us, critical_path_us, extra.empty() ? "" : " ",
+              extra.c_str());
 }
 
 /// Per-op latency distribution summary for the ingest-stall sections

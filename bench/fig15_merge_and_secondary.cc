@@ -1,8 +1,10 @@
 // Figure 15 (§6.3.2): (a) impact of the maximum mergeable component size on
 // upsert ingestion; (b) impact of the number of secondary indexes, including
-// the deleted-key B+-tree baseline. Final sections run the multi-index
-// workload on the concurrent maintenance engine (exec/maintenance.h) and on
-// a multi-queue device profile (src/io/).
+// the deleted-key B+-tree baseline; (c) beyond the paper, how much of the
+// primary-key index stays cached under a small buffer cache while merges
+// run. Final sections run the multi-index workload on the concurrent
+// maintenance engine (exec/maintenance.h) and on a multi-queue device
+// profile (src/io/).
 //
 // Modeled-time accounting since PR 3: the paper series run on a single-queue
 // device, where simulated disk seconds are charged to one head — bit-for-bit
@@ -46,42 +48,52 @@ struct IngestResult {
   double wall_s = 0;
   double sim_s = 0;
   double crit_s = 0;
+  uint64_t cache_evictions = 0;
 };
 
-IngestResult RunIngest(const StrategyCase& sc, uint64_t max_mergeable,
-                       size_t num_secondary, size_t threads = 1,
-                       uint32_t queues = 1,
-                       uint64_t partition_min_bytes = 8u << 20,
-                       bool nvme = false) {
+struct IngestCase {
+  uint64_t max_mergeable = 8u << 20;
+  size_t num_secondary = 1;
+  size_t threads = 1;
+  uint32_t queues = 1;
+  uint64_t partition_min_bytes = 8u << 20;
+  bool nvme = false;
+  size_t cache_pages = 0;  ///< 0 = BenchEnv's 4 MiB
+  double update_ratio = 0.1;  ///< §6.3.2 default
+};
+
+IngestResult RunIngest(const StrategyCase& sc, const IngestCase& ic) {
   EnvOptions eo = BenchEnv(/*cache_mb=*/4, /*ssd=*/false,
-                           /*cache_shards=*/threads > 1 ? 8 : 1);
+                           /*cache_shards=*/ic.threads > 1 ? 8 : 1);
+  if (ic.cache_pages != 0) eo.cache_pages = ic.cache_pages;
   eo.metrics = g_metrics;
   // The multi-queue comparison holds the cost parameters fixed and varies
   // only the queue count, so overlap is the sole difference being measured.
-  if (nvme) eo.device_profile = DeviceProfile::Nvme(queues);
+  if (ic.nvme) eo.device_profile = DeviceProfile::Nvme(ic.queues);
   Env env(eo);
   DatasetOptions o;
   o.strategy = sc.strategy;
   o.merge_repair = sc.merge_repair;
   o.mem_budget_bytes = 1 << 20;
-  o.max_mergeable_bytes = max_mergeable;
-  o.maintenance_threads = threads;
-  o.merge_partition_min_bytes = partition_min_bytes;
+  o.max_mergeable_bytes = ic.max_mergeable;
+  o.maintenance_threads = ic.threads;
+  o.merge_partition_min_bytes = ic.partition_min_bytes;
   o.metrics = g_metrics;
   o.secondary_indexes.clear();
-  for (size_t i = 0; i < num_secondary; i++) {
+  for (size_t i = 0; i < ic.num_secondary; i++) {
     o.secondary_indexes.push_back(SecondaryIndexDef::SyntheticAttribute(i));
   }
   Dataset ds(&env, o);
   TweetGenerator gen;
   UpsertWorkloadOptions w;
   w.num_ops = g_ops;
-  w.update_ratio = 0.1;  // §6.3.2 default
+  w.update_ratio = ic.update_ratio;
   WorkloadReport report;
   Stopwatch sw(&env, ds.wal());
   if (!RunUpsertWorkload(&ds, &gen, w, &report).ok()) std::abort();
   return IngestResult{sw.Seconds(), sw.WallSeconds(), sw.IoSeconds(),
-                      sw.CriticalPathSeconds()};
+                      sw.CriticalPathSeconds(),
+                      env.cache()->stats().evictions};
 }
 
 }  // namespace
@@ -109,7 +121,8 @@ int main(int argc, char** argv) {
       {"32MB", 32u << 20}};
   for (const auto& [label, max_size] : sizes) {
     for (const auto& sc : core_cases) {
-      const IngestResult r = RunIngest(sc, max_size, 1);
+      const IngestResult r =
+          RunIngest(sc, {.max_mergeable = max_size, .num_secondary = 1});
       char extra[64];
       std::snprintf(extra, sizeof(extra), "throughput=%.0f ops/s",
                     double(g_ops) / r.total_s);
@@ -130,7 +143,7 @@ int main(int argc, char** argv) {
   };
   for (size_t n = 1; n <= 5; n++) {
     for (const auto& sc : sec_cases) {
-      const IngestResult r = RunIngest(sc, 8u << 20, n);
+      const IngestResult r = RunIngest(sc, {.num_secondary = n});
       char extra[64];
       std::snprintf(extra, sizeof(extra), "throughput=%.0f ops/s",
                     double(g_ops) / r.total_s);
@@ -139,6 +152,30 @@ int main(int argc, char** argv) {
           std::string("fig15b-") + sc.name + "-" + std::to_string(n) + "idx";
       report.AddSection(section, g_ops, r.sim_s * 1e6, r.crit_s * 1e6);
       if (flags.tiny) PrintDigest(section, r.sim_s * 1e6, r.crit_s * 1e6);
+    }
+  }
+
+  // Fig15c: Mutable-bitmap upserts with 20% updates on the serial engine
+  // over a 128 KiB buffer cache, about half the size of the primary-key
+  // index. Every upsert's uniqueness check and bitmap probe read the pk
+  // index, so the row's cost is dominated by how many pk-index pages stay
+  // cached while merges stream their inputs. Its DIGEST line pins that
+  // (merges read around the cache, see lsm/merge_cursor.h).
+  PrintHeader("Fig15c", "pk-index residency: mutable-bitmap, 20% upd, "
+                        "128 KiB cache");
+  {
+    const StrategyCase sc{"mutable-bitmap", MaintenanceStrategy::kMutableBitmap,
+                          false};
+    const IngestResult r =
+        RunIngest(sc, {.cache_pages = 32, .update_ratio = 0.2});
+    char extra[64];
+    std::snprintf(extra, sizeof(extra), "evictions=%llu",
+                  static_cast<unsigned long long>(r.cache_evictions));
+    PrintRow(sc.name, "pk-cache", r.total_s, extra);
+    const std::string section = "fig15c-pk-cache";
+    report.AddSection(section, g_ops, r.sim_s * 1e6, r.crit_s * 1e6);
+    if (flags.tiny) {
+      PrintDigest(section, r.sim_s * 1e6, r.crit_s * 1e6, extra);
     }
   }
 
@@ -151,8 +188,9 @@ int main(int argc, char** argv) {
   PrintHeader("Fig15-mt", "maintenance engine: serial vs " +
                               std::to_string(hw) + " threads (3 idx, 8MB)");
   for (const auto& sc : sec_cases) {
-    const IngestResult serial = RunIngest(sc, 8u << 20, 3, 1);
-    const IngestResult parallel = RunIngest(sc, 8u << 20, 3, hw);
+    const IngestResult serial = RunIngest(sc, {.num_secondary = 3});
+    const IngestResult parallel =
+        RunIngest(sc, {.num_secondary = 3, .threads = hw});
     char extra[160];
     std::snprintf(extra, sizeof(extra),
                   "wall_s %.3f -> %.3f (%.2fx) total %.2f -> %.2f (%.2fx)",
@@ -173,12 +211,14 @@ int main(int argc, char** argv) {
               "partitioned merges on NVMe: queues=1 sim vs queues=" +
                   std::to_string(flags.queues) + " critical path (mt=4)");
   for (const auto& sc : core_cases) {
-    const IngestResult q1 = RunIngest(sc, 8u << 20, 3, 4, 1,
-                                      /*partition_min_bytes=*/1u << 20,
-                                      /*nvme=*/true);
-    const IngestResult qn = RunIngest(sc, 8u << 20, 3, 4, flags.queues,
-                                      /*partition_min_bytes=*/1u << 20,
-                                      /*nvme=*/true);
+    IngestCase mq{.num_secondary = 3,
+                  .threads = 4,
+                  .queues = 1,
+                  .partition_min_bytes = 1u << 20,
+                  .nvme = true};
+    const IngestResult q1 = RunIngest(sc, mq);
+    mq.queues = flags.queues;
+    const IngestResult qn = RunIngest(sc, mq);
     char extra[160];
     std::snprintf(extra, sizeof(extra),
                   "sim_s(q=1) %.3f -> crit_s(q=%u) %.3f (%.2fx overlap)%s",

@@ -59,7 +59,15 @@ Status Btree::GetWithOrdinal(const Slice& key, LeafEntry* entry,
 }
 
 Status Btree::Iterator::LoadLeaf(uint32_t page_no) {
-  AUXLSM_RETURN_NOT_OK(tree_->ReadPage(page_no, &page_, readahead_));
+  if (fill_cache_) {
+    AUXLSM_RETURN_NOT_OK(tree_->ReadPage(page_no, &page_, readahead_));
+  } else {
+    Env* env = tree_->env();
+    PageData data;
+    AUXLSM_RETURN_NOT_OK(env->ReadPageNoFill(tree_->meta().file_id, page_no,
+                                             &data, readahead_, &window_));
+    page_ = BtreePage(std::move(data), env->page_size());
+  }
   leaf_page_ = page_no;
   return Status::OK();
 }

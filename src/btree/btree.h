@@ -31,10 +31,14 @@ class Btree {
                         std::string* backing, uint64_t* ordinal) const;
 
   /// Forward iterator over the tree. Valid() is false when exhausted.
+  /// With fill_cache off, leaves are read around the buffer cache into the
+  /// iterator's private page window (Env::ReadPageNoFill): same charges and
+  /// failpoint consults as a filling scan, but the leaves never displace
+  /// cached pages. Seek's root-to-leaf descent still reads through the cache.
   class Iterator {
    public:
-    Iterator(const Btree* tree, uint32_t readahead_pages)
-        : tree_(tree), readahead_(readahead_pages) {}
+    Iterator(const Btree* tree, uint32_t readahead_pages, bool fill_cache)
+        : tree_(tree), readahead_(readahead_pages), fill_cache_(fill_cache) {}
 
     Status SeekToFirst();
     Status Seek(const Slice& target);
@@ -54,6 +58,8 @@ class Btree {
 
     const Btree* tree_;
     uint32_t readahead_;
+    bool fill_cache_;
+    PageWindow window_;  // no-fill leaves; unused when fill_cache_
     bool valid_ = false;
     uint32_t leaf_page_ = 0;
     BtreePage page_;
@@ -61,8 +67,9 @@ class Btree {
     LeafEntry entry_;
   };
 
-  Iterator NewIterator(uint32_t readahead_pages = 0) const {
-    return Iterator(this, readahead_pages);
+  Iterator NewIterator(uint32_t readahead_pages = 0,
+                       bool fill_cache = true) const {
+    return Iterator(this, readahead_pages, fill_cache);
   }
 
   /// Returns up to `partitions - 1` keys that split the tree's key space

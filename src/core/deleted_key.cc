@@ -32,6 +32,7 @@ Status RunDeletedKeyMergePicked(
   MergeCursor::Options mo;
   mo.respect_bitmaps = true;
   mo.drop_antimatter = includes_oldest;
+  mo.fill_cache = false;  // the merge retires its inputs
   MergeCursor cursor(picked, mo);
   AUXLSM_RETURN_NOT_OK(cursor.Init());
 

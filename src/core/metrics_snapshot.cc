@@ -74,6 +74,7 @@ obs::MetricsSnapshot Dataset::MetricsSnapshot() {
   s.Set("cache.page.hits", double(bc.hits));
   s.Set("cache.page.misses", double(bc.misses));
   s.Set("cache.page.evictions", double(bc.evictions));
+  s.Set("cache.page.bypassed", double(bc.bypassed));
 
   // Tuple cache (all-zero when disabled).
   const TupleCacheStats tc = tuple_cache_stats();

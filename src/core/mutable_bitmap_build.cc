@@ -266,6 +266,7 @@ Status ConcurrentMergePicked(Dataset* ds,
     MergeCursor::Options mo;
     mo.respect_bitmaps = true;
     mo.drop_antimatter = drop_antimatter;
+    mo.fill_cache = false;  // the merge retires its inputs
     MergeCursor cursor(old_p, mo);
     AUXLSM_RETURN_NOT_OK(cursor.Init());
     Bitmap empty_overlay(0);
@@ -305,6 +306,7 @@ Status ConcurrentMergePicked(Dataset* ds,
     MergeCursor::Options mo;
     mo.respect_bitmaps = false;  // validity re-checked under the lock
     mo.drop_antimatter = drop_antimatter;
+    mo.fill_cache = false;  // the merge retires its inputs
     MergeCursor cursor(old_p, mo);
     AUXLSM_RETURN_NOT_OK(cursor.Init());
     // Read-only: the builder takes per-key shared locks but never touches a
@@ -371,6 +373,7 @@ Status ConcurrentMergePicked(Dataset* ds,
     mo.respect_bitmaps = true;
     mo.bitmap_overrides = snapshots;
     mo.drop_antimatter = drop_antimatter;
+    mo.fill_cache = false;  // the merge retires its inputs
     MergeCursor cursor(old_p, mo);
     AUXLSM_RETURN_NOT_OK(cursor.Init());
     while (cursor.Valid()) {

@@ -132,6 +132,7 @@ Status RunMergeRepair(Dataset* ds, SecondaryIndex* index,
   MergeCursor::Options mo;
   mo.respect_bitmaps = true;
   mo.drop_antimatter = includes_oldest;
+  mo.fill_cache = false;  // the merge retires its inputs
   MergeCursor cursor(picked, mo);
   AUXLSM_RETURN_NOT_OK(cursor.Init());
 

@@ -35,12 +35,13 @@ BufferCache::Shard& BufferCache::ShardOf(uint32_t file_id, uint32_t page_no) {
   return *shards_[(PageHash(file_id, page_no) >> 32) % shards_.size()];
 }
 
-bool BufferCache::LookupLocked(Shard& s, const Key& k, PageData* out) {
+bool BufferCache::LookupLocked(Shard& s, const Key& k, PageData* out,
+                               bool promote) {
   auto fit = s.files.find(k.file_id);
   if (fit == s.files.end()) return false;
   auto pit = fit->second.find(k.page_no);
   if (pit == fit->second.end()) return false;
-  s.lru.splice(s.lru.begin(), s.lru, pit->second);
+  if (promote) s.lru.splice(s.lru.begin(), s.lru, pit->second);
   *out = pit->second->data;
   return true;
 }
@@ -75,18 +76,22 @@ void BufferCache::InsertLocked(Shard& s, const Key& k, PageData data) {
   EvictOverflowLocked(s);
 }
 
+Status BufferCache::ReadUncached(uint32_t file_id, uint32_t page_no,
+                                 PageData* out) {
+  if (fault_ != nullptr) {
+    AUXLSM_RETURN_NOT_OK(fault_->Hit(failpoints::kCacheMissFill, io_));
+  }
+  io_->OnCacheMiss();
+  AUXLSM_RETURN_NOT_OK(store_->ReadPage(file_id, page_no, out));
+  io_->ChargeRead(file_id, page_no);
+  return Status::OK();
+}
+
 Status BufferCache::Read(uint32_t file_id, uint32_t page_no, PageData* out,
                          uint32_t readahead_pages) {
   const Key k{file_id, page_no};
-  const size_t cap = capacity_.load(std::memory_order_relaxed);
-  if (cap == 0) {
-    if (fault_ != nullptr) {
-      AUXLSM_RETURN_NOT_OK(fault_->Hit(failpoints::kCacheMissFill, io_));
-    }
-    io_->OnCacheMiss();
-    AUXLSM_RETURN_NOT_OK(store_->ReadPage(file_id, page_no, out));
-    io_->ChargeRead(file_id, page_no);
-    return Status::OK();
+  if (capacity_.load(std::memory_order_relaxed) == 0) {
+    return ReadUncached(file_id, page_no, out);
   }
   {
     // The shard lock is held across the miss fault, so two threads missing
@@ -100,28 +105,65 @@ Status BufferCache::Read(uint32_t file_id, uint32_t page_no, PageData* out,
       io_->OnCacheHit();
       return Status::OK();
     }
-    if (fault_ != nullptr) {
-      AUXLSM_RETURN_NOT_OK(fault_->Hit(failpoints::kCacheMissFill, io_));
-    }
+    AUXLSM_RETURN_NOT_OK(ReadUncached(file_id, page_no, out));
     s.misses++;
-    io_->OnCacheMiss();
-    AUXLSM_RETURN_NOT_OK(store_->ReadPage(file_id, page_no, out));
-    io_->ChargeRead(file_id, page_no);
     InsertLocked(s, k, *out);
   }
-  // Read-ahead: fault in following pages at sequential cost.
+  ReadAhead(file_id, page_no, readahead_pages, /*window=*/nullptr);
+  return Status::OK();
+}
+
+Status BufferCache::ReadNoFill(uint32_t file_id, uint32_t page_no,
+                               uint32_t readahead_pages,
+                               std::vector<PageData>* window) {
+  window->clear();
+  PageData page;
+  if (capacity_.load(std::memory_order_relaxed) == 0) {
+    AUXLSM_RETURN_NOT_OK(ReadUncached(file_id, page_no, &page));
+    window->push_back(std::move(page));
+    return Status::OK();
+  }
+  {
+    Shard& s = ShardOf(file_id, page_no);
+    MutexLock l(s.mu);
+    if (LookupLocked(s, Key{file_id, page_no}, &page, /*promote=*/false)) {
+      s.hits++;
+      s.bypassed++;
+      io_->OnCacheHit();
+      window->push_back(std::move(page));
+      return Status::OK();
+    }
+    AUXLSM_RETURN_NOT_OK(ReadUncached(file_id, page_no, &page));
+    s.misses++;
+    s.bypassed++;
+  }
+  window->push_back(std::move(page));
+  ReadAhead(file_id, page_no, readahead_pages, window);
+  return Status::OK();
+}
+
+void BufferCache::ReadAhead(uint32_t file_id, uint32_t page_no,
+                            uint32_t readahead_pages,
+                            std::vector<PageData>* window) {
+  const bool fill = window == nullptr;
   const uint32_t n_pages = store_->NumPages(file_id);
   for (uint32_t i = 1; i <= readahead_pages && page_no + i < n_pages; i++) {
     const Key rk{file_id, page_no + i};
     Shard& s = ShardOf(rk.file_id, rk.page_no);
     PageData tmp;
     MutexLock l(s.mu);
-    if (LookupLocked(s, rk, &tmp)) continue;
-    if (!store_->ReadPage(rk.file_id, rk.page_no, &tmp).ok()) break;
-    io_->ChargeRead(rk.file_id, rk.page_no);
-    InsertLocked(s, rk, std::move(tmp));
+    const bool resident = LookupLocked(s, rk, &tmp, /*promote=*/fill);
+    if (!resident) {
+      if (!store_->ReadPage(rk.file_id, rk.page_no, &tmp).ok()) break;
+      io_->ChargeRead(rk.file_id, rk.page_no);
+    }
+    if (fill) {
+      if (!resident) InsertLocked(s, rk, std::move(tmp));
+    } else {
+      s.bypassed++;
+      window->push_back(std::move(tmp));
+    }
   }
-  return Status::OK();
 }
 
 void BufferCache::Evict(uint32_t file_id) {
@@ -180,6 +222,7 @@ BufferCacheStats BufferCache::stats() const {
     total.hits += sp->hits;
     total.misses += sp->misses;
     total.evictions += sp->evictions;
+    total.bypassed += sp->bypassed;
   }
   return total;
 }

@@ -17,6 +17,17 @@
 // Each shard additionally keeps a per-file index of its resident pages, so
 // Evict(file_id) — called when a retired component's file is deleted — costs
 // O(resident pages of that file), not O(cache size).
+//
+// No-fill reads (ReadNoFill) serve scans whose input pages are dead once the
+// scan ends — merges read components that the same merge retires. They
+// charge exactly what Read charges: a resident page is a hit (without LRU
+// promotion); a miss charges the page and each non-resident read-ahead page
+// with the same ChargeRead sequence, and copies resident read-ahead pages
+// uncharged. But nothing is admitted: the pages land in the caller's private
+// window, so a merge streaming its inputs cannot evict the hot pages of other
+// indexes (the small primary-key index the uniqueness check and the
+// Mutable-bitmap strategy probe per upsert). This is LevelDB/RocksDB's
+// `ReadOptions::fill_cache = false` for compaction inputs.
 #pragma once
 
 #include <atomic>
@@ -41,6 +52,8 @@ struct BufferCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
+  /// Pages no-fill reads served or read without admitting them.
+  uint64_t bypassed = 0;
 };
 
 class BufferCache {
@@ -54,6 +67,14 @@ class BufferCache {
   /// in up to that many following pages of the same file on a miss.
   Status Read(uint32_t file_id, uint32_t page_no, PageData* out,
               uint32_t readahead_pages = 0);
+
+  /// Reads a page without admitting anything to the cache. `*window` is
+  /// replaced by a run of consecutive pages starting at page_no: only that
+  /// page when it is resident (a hit) or the cache is disabled, else (a miss)
+  /// it and up to readahead_pages following pages, charged exactly as Read
+  /// would charge them. Resident pages keep their LRU position.
+  Status ReadNoFill(uint32_t file_id, uint32_t page_no,
+                    uint32_t readahead_pages, std::vector<PageData>* window);
 
   /// Drops all cached pages of a file (called when a component is deleted).
   void Evict(uint32_t file_id);
@@ -99,13 +120,25 @@ class BufferCache {
     uint64_t hits GUARDED_BY(mu) = 0;
     uint64_t misses GUARDED_BY(mu) = 0;
     uint64_t evictions GUARDED_BY(mu) = 0;
+    uint64_t bypassed GUARDED_BY(mu) = 0;
   };
 
   Shard& ShardOf(uint32_t file_id, uint32_t page_no);
   // The following helpers run with the shard's mutex held.
-  bool LookupLocked(Shard& s, const Key& k, PageData* out) REQUIRES(s.mu);
+  /// Finds a resident page; `promote` moves it to the LRU front.
+  bool LookupLocked(Shard& s, const Key& k, PageData* out, bool promote = true)
+      REQUIRES(s.mu);
   void InsertLocked(Shard& s, const Key& k, PageData data) REQUIRES(s.mu);
   void EvictOverflowLocked(Shard& s) REQUIRES(s.mu);
+  /// A miss fault: the kCacheMissFill consult, the store read and its
+  /// charge. Admits nothing.
+  Status ReadUncached(uint32_t file_id, uint32_t page_no, PageData* out);
+  /// Read-ahead after a miss on page_no: faults in up to readahead_pages
+  /// following pages at sequential cost. window == nullptr admits them
+  /// (resident ones are promoted); otherwise they are appended to *window
+  /// and resident ones keep their LRU position.
+  void ReadAhead(uint32_t file_id, uint32_t page_no, uint32_t readahead_pages,
+                 std::vector<PageData>* window);
 
   PageStore* const store_;
   IoEngine* const io_;

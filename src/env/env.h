@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "env/buffer_cache.h"
 #include "env/disk_model.h"
@@ -56,6 +57,13 @@ struct EnvOptions {
   }
 };
 
+/// A no-fill scan's private run of consecutive pages of one file, starting
+/// at first_page (Env::ReadPageNoFill). Holds at most read-ahead + 1 pages.
+struct PageWindow {
+  uint32_t first_page = 0;
+  std::vector<PageData> pages;
+};
+
 class Env {
  public:
   explicit Env(EnvOptions options = EnvOptions());
@@ -92,6 +100,26 @@ class Env {
           options_.fault_injector->Hit(failpoints::kEnvReadPage, &io_));
     }
     return cache_.Read(file_id, page_no, out, readahead_pages);
+  }
+
+  /// Reads a page for a scan that must not fill the cache (a merge reading
+  /// the components it retires): served from `*window` when the page lies
+  /// inside it, else the window is refilled from page_no by
+  /// BufferCache::ReadNoFill. One kEnvReadPage consult either way, as
+  /// ReadPage makes; a refill that misses makes the kCacheMissFill consult.
+  Status ReadPageNoFill(uint32_t file_id, uint32_t page_no, PageData* out,
+                        uint32_t readahead_pages, PageWindow* window) {
+    if (options_.fault_injector != nullptr) {
+      AUXLSM_RETURN_NOT_OK(
+          options_.fault_injector->Hit(failpoints::kEnvReadPage, &io_));
+    }
+    if (page_no - window->first_page >= window->pages.size()) {
+      window->first_page = page_no;
+      AUXLSM_RETURN_NOT_OK(
+          cache_.ReadNoFill(file_id, page_no, readahead_pages, &window->pages));
+    }
+    *out = window->pages[page_no - window->first_page];
+    return Status::OK();
   }
 
   /// Deletes a file, evicts its cached pages, and sweeps every device

@@ -282,6 +282,7 @@ Status MaintenanceScheduler::MergeComponents(
     mo.readahead_pages = readahead;
     mo.respect_bitmaps = true;
     mo.drop_antimatter = includes_oldest;
+    mo.fill_cache = false;  // the merge retires its inputs
     if (i > 0) mo.lower_bound = splits[i - 1];
     if (i < splits.size()) {
       mo.upper_bound = splits[i];

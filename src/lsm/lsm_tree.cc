@@ -377,6 +377,7 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
   mo.readahead_pages = options_.scan_readahead_pages;
   mo.respect_bitmaps = true;
   mo.drop_antimatter = includes_oldest;
+  mo.fill_cache = false;  // the merge retires its inputs
   MergeCursor cursor(picked, mo);
   AUXLSM_RETURN_NOT_OK(cursor.Init());
 

@@ -23,7 +23,8 @@ Status MergeCursor::Init() {
   iters_.clear();
   iters_.reserve(components_.size());
   for (const auto& c : components_) {
-    iters_.push_back(c->tree().NewIterator(options_.readahead_pages));
+    iters_.push_back(
+        c->tree().NewIterator(options_.readahead_pages, options_.fill_cache));
     if (options_.lower_bound.empty()) {
       AUXLSM_RETURN_NOT_OK(iters_.back().SeekToFirst());
     } else {

@@ -6,6 +6,23 @@
 // marked invalid by a component's validity bitmap are skipped, which is how
 // merges physically drop entries that repair or the Mutable-bitmap strategy
 // marked obsolete (Fig 7/§5).
+//
+// Cache policy (Options::fill_cache): a merge's input components are
+// retired by the merge that reads them, so their pages are dead once it
+// installs. The cursors of exactly those merges read their inputs around the
+// buffer cache (no-fill scans, BufferCache::ReadNoFill):
+//   - LsmTree::MergeComponents;
+//   - the partition scans of a split merge (exec/maintenance.cc);
+//   - the three §5.3 ConcurrentMerge builders (core/mutable_bitmap_build.cc);
+//   - the deleted-key merge (core/deleted_key.cc);
+//   - merge repair's merge (core/repair.cc).
+// Streaming them through the shared LRU would evict the hot pages first,
+// above all the small primary-key index that every upsert's uniqueness check
+// and Mutable-bitmap probe reads. Every other cursor fills: query and scan
+// streams, num_records, and repair's primary-key index validation scan,
+// whose components stay live and are the hot pages. Each no-fill input
+// iterator holds a private window of at most readahead_pages + 1 pages, so a
+// k-way merge holds k windows.
 #pragma once
 
 #include <memory>
@@ -19,6 +36,9 @@ class MergeCursor {
  public:
   struct Options {
     uint32_t readahead_pages = 32;
+    /// false = read the inputs around the buffer cache (see above); only
+    /// for merges that retire their inputs.
+    bool fill_cache = true;
     /// Skip entries whose component bitmap bit is set.
     bool respect_bitmaps = true;
     /// Drop anti-matter entries (legal only when the merge includes the

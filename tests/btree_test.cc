@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "btree/btree.h"
 #include "btree/btree_builder.h"
@@ -243,6 +245,67 @@ TEST(BtreeIoTest, ScanReadsLeavesSequentially) {
   // Leaves are contiguous from page 0: all but the first read sequential.
   EXPECT_EQ(delta.random_reads, 1u);
   EXPECT_EQ(delta.sequential_reads, delta.pages_read - 1);
+}
+
+// A no-fill iterator (merge inputs) yields exactly the entries of a filling
+// one, with the same kEnvReadPage consult per leaf load, the same
+// kCacheMissFill consult per miss and the same modeled charges — it only
+// leaves the buffer cache as it found it.
+TEST(BtreeIoTest, NoFillIteratorMatchesFillingIterator) {
+  struct Scan {
+    std::vector<std::tuple<std::string, std::string, uint64_t>> entries;
+    uint64_t read_consults = 0, fill_consults = 0;
+    IoStats io;
+    size_t resident = 0;
+    uint64_t bypassed = 0;
+  };
+  // Each scan gets its own identically built Env, so both start from the
+  // same cold cache and the same device head position.
+  auto scan = [](bool fill_cache, const std::string& from) {
+    FaultInjector fault(1);
+    EnvOptions o = TestEnv();
+    o.disk_profile = DiskProfile::Hdd();
+    o.fault_injector = &fault;
+    Env env(o);
+    Btree tree(&env, BuildTree(&env, 5000));
+    // Armed but never firing: the sites only count their consults.
+    for (const char* site :
+         {failpoints::kEnvReadPage, failpoints::kCacheMissFill}) {
+      fault.Arm(site, FaultSpec::Error(Status::IOError("unused"), 0.0));
+    }
+    const IoStats before = env.stats();
+    Scan out;
+    auto it = tree.NewIterator(/*readahead_pages=*/8, fill_cache);
+    EXPECT_TRUE((from.empty() ? it.SeekToFirst() : it.Seek(from)).ok());
+    while (it.Valid()) {
+      out.entries.emplace_back(it.key().ToString(), it.value().ToString(),
+                               it.ordinal());
+      EXPECT_TRUE(it.Next().ok());
+    }
+    out.read_consults = fault.site_stats(failpoints::kEnvReadPage).hits;
+    out.fill_consults = fault.site_stats(failpoints::kCacheMissFill).hits;
+    out.io = env.stats() - before;
+    out.resident = env.cache()->size();
+    out.bypassed = env.cache()->stats().bypassed;
+    return out;
+  };
+  for (const std::string& from : {std::string(), EncodeU64(1234)}) {
+    const Scan filled = scan(/*fill_cache=*/true, from);
+    const Scan bypassed = scan(/*fill_cache=*/false, from);
+    EXPECT_GT(filled.entries.size(), 3000u);
+    EXPECT_EQ(filled.entries, bypassed.entries);
+    EXPECT_EQ(filled.read_consults, bypassed.read_consults);
+    EXPECT_EQ(filled.fill_consults, bypassed.fill_consults);
+    EXPECT_EQ(filled.io.pages_read, bypassed.io.pages_read);
+    EXPECT_EQ(filled.io.random_reads, bypassed.io.random_reads);
+    EXPECT_EQ(filled.io.cache_misses, bypassed.io.cache_misses);
+    EXPECT_EQ(filled.io.simulated_us, bypassed.io.simulated_us);
+    EXPECT_GT(filled.resident, 100u);
+    EXPECT_EQ(filled.bypassed, 0u);
+    // Only Seek's root-to-leaf descent reads through the cache.
+    EXPECT_LE(bypassed.resident, 4u);
+    EXPECT_GT(bypassed.bypassed, 100u);
+  }
 }
 
 TEST(BtreeTest, LargeValuesSpanPages) {

@@ -27,6 +27,7 @@ DatasetOptions BaseOptions(MaintenanceStrategy s) {
   o.mem_budget_bytes = 64 << 10;  // small budget: force flushes and merges
   o.max_mergeable_bytes = 1 << 30;
   if (s == MaintenanceStrategy::kValidation) o.merge_repair = true;
+  o.maintenance_threads = 1;  // pin the serial engine on every host
   return o;
 }
 
@@ -385,6 +386,42 @@ TEST(DatasetTest, TxnAbortUnsetsMutableBitmapBit) {
   EXPECT_EQ(comps.front()->bitmap()->CountSet(), 0u);
   TweetRecord r;
   ASSERT_TRUE(ds.GetById(1, &r).ok());
+}
+
+// Merges read their inputs around the buffer cache: a primary merge over a
+// cache far smaller than its inputs leaves the primary-key index's cached
+// pages resident, so the uniqueness check's next probe is still a hit.
+TEST(DatasetTest, PrimaryMergeKeepsPkIndexPagesCached) {
+  EnvOptions eo = TestEnv();
+  eo.cache_pages = 48;  // far fewer pages than the merge's three inputs
+  eo.cache_shards = 1;
+  Env env(eo);
+  DatasetOptions o = BaseOptions(MaintenanceStrategy::kEager);
+  o.mem_budget_bytes = 1 << 30;  // flushes and merges only when asked
+  Dataset ds(&env, o);
+  for (uint64_t round = 0; round < 3; round++) {
+    for (uint64_t i = 1; i <= 400; i++) {
+      ASSERT_TRUE(ds.Upsert(MakeTweet(round * 1000 + i, i % 10, i)).ok());
+    }
+    ASSERT_TRUE(ds.FlushAll().ok());
+  }
+  ASSERT_EQ(ds.primary()->NumDiskComponents(), 3u);
+  const Btree& pk = ds.primary_key_index()->Components().front()->tree();
+  LeafEntry e;
+  std::string backing;
+  ASSERT_TRUE(pk.Get(Slice(pk.meta().min_key), &e, &backing).ok());
+  const BufferCacheStats before = env.cache()->stats();
+
+  ASSERT_TRUE(ds.primary()->MergeAll().ok());
+  ASSERT_EQ(ds.primary()->NumDiskComponents(), 1u);
+  const BufferCacheStats merged = env.cache()->stats();
+  EXPECT_GT(merged.bypassed, before.bypassed + 100);
+
+  ASSERT_TRUE(pk.Get(Slice(pk.meta().min_key), &e, &backing).ok());
+  const BufferCacheStats after = env.cache()->stats();
+  EXPECT_EQ(after.misses, merged.misses);
+  EXPECT_EQ(after.hits, merged.hits + pk.meta().height);
+  EXPECT_EQ(ds.num_records(), 1200u);
 }
 
 }  // namespace

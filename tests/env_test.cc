@@ -199,6 +199,90 @@ TEST(BufferCacheTest, SetCapacityShrinks) {
   EXPECT_LE(env.cache()->size(), 2u);
 }
 
+namespace {
+void ExpectSameCharges(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.pages_read, b.pages_read);
+  EXPECT_EQ(a.random_reads, b.random_reads);
+  EXPECT_EQ(a.sequential_reads, b.sequential_reads);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.simulated_us, b.simulated_us);
+}
+}  // namespace
+
+TEST(BufferCacheNoFillTest, LeavesResidentSetAndLruOrderUntouched) {
+  Env env(SmallEnv(/*cache_pages=*/4));
+  const uint32_t f = env.CreateFile();
+  for (int i = 0; i < 8; i++) {
+    ASSERT_TRUE(env.AppendPage(f, Page(env, char('a' + i)), nullptr).ok());
+  }
+  PageData d;
+  for (int i = 0; i < 4; i++) ASSERT_TRUE(env.ReadPage(f, i, &d).ok());
+  // LRU order, most recent first: 3 2 1 0. Page 0 is the next victim.
+  std::vector<PageData> window;
+  ASSERT_TRUE(env.cache()->ReadNoFill(f, 0, /*readahead_pages=*/3, &window)
+                  .ok());
+  ASSERT_EQ(window.size(), 1u);  // a resident page is a hit: no read-ahead
+  EXPECT_EQ((*window[0])[0], 'a');
+  ASSERT_TRUE(env.cache()->ReadNoFill(f, 4, /*readahead_pages=*/3, &window)
+                  .ok());
+  ASSERT_EQ(window.size(), 4u);
+  for (int i = 0; i < 4; i++) EXPECT_EQ((*window[i])[0], char('e' + i));
+
+  BufferCacheStats s = env.cache()->stats();
+  EXPECT_EQ(env.cache()->size(), 4u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 5u);  // 4 fills + 1 no-fill miss
+  EXPECT_EQ(s.bypassed, 5u);
+  // Nothing was admitted, and page 0 was not promoted: the next fill still
+  // evicts it, and the other three stay resident.
+  ASSERT_TRUE(env.ReadPage(f, 5, &d).ok());
+  EXPECT_EQ(env.cache()->stats().evictions, 1u);
+  const uint64_t hits = env.cache()->stats().hits;
+  for (int i = 1; i < 4; i++) ASSERT_TRUE(env.ReadPage(f, i, &d).ok());
+  EXPECT_EQ(env.cache()->stats().hits, hits + 3);
+  const uint64_t misses = env.cache()->stats().misses;
+  ASSERT_TRUE(env.ReadPage(f, 0, &d).ok());
+  EXPECT_EQ(env.cache()->stats().misses, misses + 1);
+}
+
+// A no-fill read charges exactly what a filling Read charges: the same
+// hits, misses, demand and read-ahead page reads, head moves and modeled
+// time — on a cold cache, around a resident page, and with caching off.
+TEST(BufferCacheNoFillTest, ChargesExactlyWhatReadCharges) {
+  for (const size_t cache_pages : {size_t{16}, size_t{0}}) {
+    SCOPED_TRACE(cache_pages);
+    auto twelve_page_file = [](Env& env) {
+      const uint32_t f = env.CreateFile();
+      for (int i = 0; i < 12; i++) {
+        EXPECT_TRUE(env.AppendPage(f, Page(env, 'x'), nullptr).ok());
+      }
+      return f;
+    };
+    Env fill(SmallEnv(cache_pages));
+    Env nofill(SmallEnv(cache_pages));
+    const uint32_t f = twelve_page_file(fill);
+    ASSERT_EQ(twelve_page_file(nofill), f);
+    PageData d;
+    std::vector<PageData> window;
+    // A cold run with read-ahead; then page 8 is made resident in both
+    // caches, and a run over it (and the page itself) charges alike. The
+    // runs do not overlap: the no-fill run admitted nothing, so a page the
+    // filling run read ahead is resident only in `fill`.
+    ASSERT_TRUE(fill.ReadPage(f, 0, &d, /*readahead_pages=*/4).ok());
+    ASSERT_TRUE(nofill.cache()->ReadNoFill(f, 0, 4, &window).ok());
+    ExpectSameCharges(fill.stats(), nofill.stats());
+    ASSERT_TRUE(fill.ReadPage(f, 8, &d).ok());
+    ASSERT_TRUE(nofill.ReadPage(f, 8, &d).ok());
+    for (const uint32_t page : {6u, 8u}) {
+      ASSERT_TRUE(fill.ReadPage(f, page, &d, /*readahead_pages=*/4).ok());
+      ASSERT_TRUE(nofill.cache()->ReadNoFill(f, page, 4, &window).ok());
+      ExpectSameCharges(fill.stats(), nofill.stats());
+    }
+  }
+}
+
 TEST(ShardedBufferCacheTest, ShardsSplitCapacityExactly) {
   EnvOptions o = SmallEnv(/*cache_pages=*/10);
   o.cache_shards = 4;

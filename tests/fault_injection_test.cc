@@ -279,7 +279,12 @@ TEST_P(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
 
   fault.Arm(failpoints::kEnvAppendPage,
             FaultSpec::Error(Status::IOError("transient write fault"), 0.01));
-  for (int step = 0; step < 1500; step++) {
+  // The fault stays armed through the final FlushAll, so every page the run
+  // writes is consulted. Seed 99 first fires on the 120th page append; the
+  // pipeline and decoupled modes coalesce flushes when their background
+  // cycles run late, and at 1,500 ops a loaded host could write fewer pages
+  // than that. 4,500 ops write 850-1,100 pages on every mode.
+  for (int step = 0; step < 4500; step++) {
     const uint64_t id = 1 + rng.Uniform(kKeySpace);
     if (rng.Bernoulli(0.8)) {
       const TweetRecord r = MakeTweet(id, rng.Uniform(kUserSpace), ++time);
@@ -290,8 +295,8 @@ TEST_P(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
       model.erase(id);
     }
   }
-  fault.DisarmAll();
   ASSERT_TRUE(ds.FlushAll().ok());
+  fault.DisarmAll();
   EXPECT_EQ(ds.health(), DatasetHealth::kHealthy);
 
   const FaultSiteStats ss = fault.site_stats(failpoints::kEnvAppendPage);

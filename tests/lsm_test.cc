@@ -2,6 +2,8 @@
 
 #include <map>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "format/key_codec.h"
@@ -362,6 +364,61 @@ TEST(MergeCursorTest, BoundsAndReconciliation) {
   }
   EXPECT_EQ(count, 10u);     // keys 3..12, one version each
   EXPECT_EQ(v1_count, 5u);   // keys 5..9 updated
+}
+
+// A k-way merge over a buffer cache smaller than k read-ahead windows: the
+// filling merge evicts its own read-ahead pages before it reaches them and
+// faults them in again; the no-fill merge holds one private window per input
+// and reads each page once. Both yield the same entries.
+TEST(MergeCursorTest, NoFillMergeChargesNoMoreThanFillingMerge) {
+  constexpr uint64_t kInputs = 4;
+  constexpr uint32_t kReadahead = 16;
+  struct Merge {
+    std::vector<std::pair<std::string, std::string>> entries;
+    IoStats io;
+    BufferCacheStats cache;
+  };
+  // Identically built trees in separate Envs: same cold cache, same head.
+  auto merge = [&](bool fill_cache) {
+    EnvOptions eo = TestEnv();
+    eo.cache_pages = 32;  // < kInputs * (kReadahead + 1)
+    eo.cache_shards = 1;
+    eo.disk_profile = DiskProfile::Hdd();
+    Env env(eo);
+    LsmTree tree(&env, TreeOpts());
+    // Interleaved keys: the merge alternates between its inputs.
+    for (uint64_t c = 0; c < kInputs; c++) {
+      for (uint64_t i = 0; i < 1500; i++) {
+        tree.Put(EncodeU64(i * kInputs + c), "value-" + std::to_string(i),
+                 c * 10000 + i + 1);
+      }
+      EXPECT_TRUE(tree.Flush().ok());
+    }
+    MergeCursor::Options mo;
+    mo.readahead_pages = kReadahead;
+    mo.fill_cache = fill_cache;
+    MergeCursor cursor(tree.Components(), mo);
+    const IoStats before = env.stats();
+    Merge out;
+    EXPECT_TRUE(cursor.Init().ok());
+    while (cursor.Valid()) {
+      out.entries.emplace_back(cursor.key().ToString(),
+                               cursor.value().ToString());
+      EXPECT_TRUE(cursor.Next().ok());
+    }
+    out.io = env.stats() - before;
+    out.cache = env.cache()->stats();
+    return out;
+  };
+  const Merge filled = merge(/*fill_cache=*/true);
+  const Merge bypassed = merge(/*fill_cache=*/false);
+  ASSERT_EQ(filled.entries.size(), kInputs * 1500);
+  EXPECT_EQ(filled.entries, bypassed.entries);
+  EXPECT_GT(filled.cache.evictions, 0u);  // the thrashing regime is reached
+  EXPECT_EQ(bypassed.cache.evictions, 0u);
+  EXPECT_LE(bypassed.io.pages_read, filled.io.pages_read);
+  EXPECT_LE(bypassed.io.random_reads, filled.io.random_reads);
+  EXPECT_LE(bypassed.io.simulated_us, filled.io.simulated_us);
 }
 
 TEST(LsmTreeStressTest, RandomOpsMatchReferenceModel) {

@@ -37,6 +37,7 @@ DatasetOptions ValidationOpts(bool merge_repair, bool bloom_opt = false) {
   o.repair_bloom_opt = bloom_opt;
   o.correlated_merges = bloom_opt;  // the bloom opt needs correlated merges
   o.mem_budget_bytes = 1 << 30;
+  o.maintenance_threads = 1;  // pin the serial engine on every host
   return o;
 }
 
@@ -236,6 +237,7 @@ TEST(DeletedKeyTest, CompanionTreeTracksRewrites) {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kDeletedKeyBtree;
   o.mem_budget_bytes = 1 << 30;
+  o.maintenance_threads = 1;
   Dataset ds(&env, o);
   ASSERT_TRUE(ds.Upsert(MakeTweet(1, 5, 1)).ok());
   ASSERT_TRUE(ds.Upsert(MakeTweet(1, 9, 2)).ok());
@@ -252,6 +254,7 @@ TEST(DeletedKeyTest, MergeDropsEntriesInvalidatedByDeletedKeys) {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kDeletedKeyBtree;
   o.mem_budget_bytes = 1 << 30;
+  o.maintenance_threads = 1;
   Dataset ds(&env, o);
   for (uint64_t i = 1; i <= 50; i++) {
     ASSERT_TRUE(ds.Upsert(MakeTweet(i, 1, i)).ok());
