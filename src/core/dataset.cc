@@ -118,9 +118,6 @@ Dataset::Dataset(Env* env, DatasetOptions options)
   }
   MaintenanceOptions mopts;
   mopts.threads = options_.maintenance_threads;
-  mopts.partition_min_bytes = options_.merge_partition_min_bytes == 0
-                                  ? UINT64_MAX
-                                  : options_.merge_partition_min_bytes;
   mopts.io = env_->io();  // queue affinity for fanned-out maintenance tasks
   // Always present: with one thread the scheduler spawns no pool and runs
   // every task inline, so the serial engine takes the same steps.
@@ -631,7 +628,7 @@ Status Dataset::MergeTreeToPolicy(LsmTree* tree) {
   std::vector<DiskComponentPtr> picked;
   while (tree->PickMergeCandidates(&picked)) {
     AUXLSM_RETURN_NOT_OK(MergeStep(tree->options().name, [&]() {
-      return maintenance_->MergeComponents(tree, picked);
+      return tree->MergeComponents(picked);
     }));
     stats_.merges++;
   }
@@ -867,13 +864,11 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
     }
     if (r.empty() || r.count() < 2) break;
 
-    // Merge of one tree's captured slice (the scheduler may partition a
-    // large merge into key-range scans).
+    // Merge of one tree's captured slice.
     auto merge_picked = [this](LsmTree* t,
                                const std::vector<DiskComponentPtr>& picked) {
-      return MergeStep(t->options().name, [&]() {
-        return maintenance_->MergeComponents(t, picked);
-      });
+      return MergeStep(t->options().name,
+                       [&]() { return t->MergeComponents(picked); });
     };
 
     // Phase 1: primary and primary key index merge (as two scheduler tasks)

@@ -121,9 +121,6 @@ struct DatasetOptions {
   /// every flush build and merge task inline on the calling thread (the
   /// same maintenance steps, one at a time — the serial engine).
   size_t maintenance_threads = 0;
-  /// Merges of at least this many input bytes are additionally split into
-  /// key-range partitions scanned in parallel (0 disables partitioning).
-  uint64_t merge_partition_min_bytes = 8u << 20;
 
   // --- Concurrent ingestion pipeline (PR 2) ---------------------------------
   /// Number of writer threads the dataset is tuned for. 1 = the legacy

@@ -132,7 +132,7 @@ Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
   pcomp->set_repaired_ts(repaired);
   kcomp->set_repaired_ts(repaired);
   // Recovery replays from the max component LSN; the merged pair must keep
-  // carrying the newest LSN of its inputs (see LsmTree::MergeFromStream).
+  // carrying the newest LSN of its inputs (see LsmTree::MergeComponents).
   Lsn max_lsn = kInvalidLsn;
   for (const auto& c : old_p) max_lsn = std::max(max_lsn, c->max_lsn());
   pcomp->set_max_lsn(max_lsn);

@@ -19,17 +19,17 @@
 //
 //   RunAll runs its tasks inline when threads == 1 (the serial engine) and
 //   on the ThreadPool (N workers) otherwise; EnqueueMergeRound feeds the
-//   per-tree merge queues (decoupled mode). Plain merges go through
-//   MergeComponents, which may split one merge into key-range partitions.
+//   per-tree merge queues (decoupled mode). Every plain merge is one
+//   LsmTree::MergeComponents call inside its tree's task.
 //
 //   - Work is fanned out at *tree* granularity: the primary, primary-key,
 //     secondary, and deleted-key trees flush and merge concurrently. Merges
 //     of one tree are never issued concurrently (per-tree serialization):
 //     each tree's merge loop runs inside a single task.
-//   - A large merge of one tree may additionally be split into key-range
-//     partitions (MergeCursor lower/upper bounds); the partitions are
-//     scanned in parallel and the outputs stitched into one component by
-//     LsmTree::MergeFromStream.
+//   - A large merge of one tree is not fanned out further: on a multi-queue
+//     device LsmTree::MergeComponents reads it as key-range partitions on
+//     the calling thread, each bound to its own device queue. Partitioning
+//     follows the device's queue count, not the thread count.
 //   - Shared state touched from tasks: Env's PageStore / IoEngine /
 //     BufferCache (each internally synchronized; the BufferCache is
 //     lock-striped into shards), and each LsmTree's components_ list
@@ -39,18 +39,21 @@
 //     just the coordinating thread.
 //   - Queue affinity: when MaintenanceOptions::io names a multi-queue
 //     IoEngine, RunAll binds task i to device queue (i % queues) for the
-//     task's duration (IoQueueScope), so fanned-out merges and partitioned
-//     merge scans charge independent queue clocks and genuinely overlap in
-//     *simulated* time, not just wall-clock. (Flush builds rebind inside
-//     their task to their tree's fixed slot.) The mapping is by task index,
+//     task's duration (IoQueueScope), so fanned-out flushes and merges
+//     charge independent queue clocks and genuinely overlap in *simulated*
+//     time, not just wall-clock. (Flush builds rebind inside their task to
+//     their tree's fixed slot.) The mapping is by task index,
 //     not worker thread, so it is deterministic under work stealing and
 //     "helping", and it applies on the serial inline path too (modeled
 //     device concurrency does not require host concurrency). With a
 //     single-queue engine every binding resolves to queue 0 — bit-for-bit
-//     the legacy single-head charging.
+//     the legacy single-head charging. There, host threads do more than
+//     shorten wall time: their reads interleave on the one head, so
+//     sequential scans turn into seeks and modeled time grows (see the
+//     Fig15-mt rows of bench/fig15_merge_and_secondary.cc).
 //   - Waits use "helping": a thread blocked on task futures runs queued
-//     tasks itself, so nested fan-out (merge loop inside a task spawning
-//     partition scans) cannot deadlock the fixed-size pool.
+//     tasks itself, so nested fan-out (CorrelatedMerge's RunAll inside a
+//     RunMerges task) cannot deadlock the fixed-size pool.
 //   - Decoupled merge scheduling (PR 5): EnqueueMergeRound hands merge work
 //     to per-tree FIFO queues drained by dedicated lazily-spawned drain
 //     workers — NOT the flush pool, so a long merge backlog can never starve
@@ -78,7 +81,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "lsm/lsm_tree.h"
 
 namespace auxlsm {
 
@@ -90,12 +92,6 @@ struct MaintenanceOptions {
   /// scheduler entry point degrades to the caller's thread, byte-for-byte
   /// the legacy serial behavior).
   size_t threads = 0;
-  /// Number of key-range partitions a large merge is split into.
-  /// 0 = match the thread count.
-  size_t merge_partitions = 0;
-  /// Only merges of at least this many input bytes are partitioned (small
-  /// merges are dominated by setup cost).
-  uint64_t partition_min_bytes = 8u << 20;
   /// Device engine for queue affinity: RunAll binds task i to device queue
   /// (i % queues). Null or single-queue = every task charges queue 0, the
   /// legacy single-head accounting.
@@ -124,12 +120,6 @@ class MaintenanceScheduler {
   /// Runs every task (on the pool when parallel, else inline) and returns
   /// the first non-OK status. All tasks run to completion either way.
   Status RunAll(std::vector<std::function<Status()>>&& tasks);
-
-  /// One merge of `picked` into a single component, scanned as parallel
-  /// key-range partitions when profitable, else delegated to
-  /// LsmTree::MergeComponents.
-  Status MergeComponents(LsmTree* tree,
-                         const std::vector<DiskComponentPtr>& picked);
 
   // --- Decoupled per-tree merge queues --------------------------------------
   /// Opaque serial-stream key: one tree (or one correlated-merge group).
@@ -176,8 +166,6 @@ class MaintenanceScheduler {
  private:
   /// Blocks on `futures`, helping run queued pool tasks meanwhile.
   Status WaitAll(std::vector<std::future<Status>>& futures);
-
-  size_t partitions() const;
 
   struct QueuedMergeJob {
     std::function<Status()> work;

@@ -5,8 +5,17 @@
 
 #include "btree/btree_builder.h"
 #include "common/hash.h"
+#include "io/io_engine.h"
 
 namespace auxlsm {
+
+namespace {
+
+/// Smallest merge (total input bytes) that a multi-queue device splits into
+/// key-range partitions; smaller merges are dominated by setup cost.
+constexpr uint64_t kPartitionMinBytes = 1u << 20;
+
+}  // namespace
 
 LsmTree::LsmTree(Env* env, LsmTreeOptions options)
     : env_(env),
@@ -373,37 +382,71 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
   // Anti-matter may be dropped only if the merge reaches the oldest
   // component (no older component can hold a shadowed version).
   const bool includes_oldest = IsOldestComponent(picked.back());
-  MergeCursor::Options mo;
-  mo.readahead_pages = options_.scan_readahead_pages;
-  mo.respect_bitmaps = true;
-  mo.drop_antimatter = includes_oldest;
-  mo.fill_cache = false;  // the merge retires its inputs
-  MergeCursor cursor(picked, mo);
-  AUXLSM_RETURN_NOT_OK(cursor.Init());
+
+  // On a multi-queue device a large merge reads its inputs as Q key-range
+  // partitions, partition i charged to device queue i % Q, so the scans
+  // overlap in modeled time. The boundaries are evenly spaced leaf
+  // first-keys of the largest input, which dominates the key distribution.
+  // Partitions stream in key order on this thread into the one build below,
+  // so the output is exactly the whole-range merge's and no entry is held
+  // in memory; the build's writes stay on the caller's queue binding.
+  IoEngine* const io = env_->io();
+  const uint32_t queues = io->num_queues();
+  uint64_t total_bytes = 0;
+  for (const auto& c : picked) total_bytes += c->size_bytes();
+  std::vector<std::string> splits;
+  if (queues > 1 && picked.size() >= 2 && total_bytes >= kPartitionMinBytes) {
+    const DiskComponentPtr* largest = &picked.front();
+    for (const auto& c : picked) {
+      if (c->size_bytes() > (*largest)->size_bytes()) largest = &c;
+    }
+    AUXLSM_RETURN_NOT_OK(
+        (*largest)->tree().ApproximateSplitKeys(queues, &splits));
+  }
+  // No splits = one unbounded cursor, charged wherever the caller is bound.
+  // Partition i covers [splits[i-1], splits[i]).
+  size_t part = 0;
+  auto part_queue = [&]() {
+    return splits.empty() ? -1 : int32_t(part % queues);
+  };
+  std::unique_ptr<MergeCursor> cursor;
+  auto open = [&]() -> Status {
+    MergeCursor::Options mo;
+    mo.readahead_pages = options_.scan_readahead_pages;
+    mo.respect_bitmaps = true;
+    mo.drop_antimatter = includes_oldest;
+    mo.fill_cache = false;  // the merge retires its inputs
+    if (part > 0) mo.lower_bound = splits[part - 1];
+    if (part < splits.size()) {
+      mo.upper_bound = splits[part];
+      mo.upper_bound_exclusive = true;  // partition i+1 owns splits[i]
+    }
+    cursor = std::make_unique<MergeCursor>(picked, mo);
+    MaybeIoQueueScope scope(io, part_queue());
+    return cursor->Init();
+  };
+  AUXLSM_RETURN_NOT_OK(open());
 
   Status iter_status;
   auto next = [&](OwnedEntry* e) {
-    if (!cursor.Valid()) return false;
-    e->key = cursor.key().ToString();
-    e->value = cursor.value().ToString();
-    e->ts = cursor.ts();
-    e->antimatter = cursor.antimatter();
-    iter_status = cursor.Next();
+    while (!cursor->Valid()) {
+      if (part == splits.size()) return false;
+      part++;
+      iter_status = open();
+      if (!iter_status.ok()) return false;
+    }
+    e->key = cursor->key().ToString();
+    e->value = cursor->value().ToString();
+    e->ts = cursor->ts();
+    e->antimatter = cursor->antimatter();
+    MaybeIoQueueScope scope(io, part_queue());
+    iter_status = cursor->Next();
     return iter_status.ok();
   };
-  return MergeFromStream(picked, next, &iter_status);
-}
-
-Status LsmTree::MergeFromStream(
-    const std::vector<DiskComponentPtr>& picked,
-    const std::function<bool(OwnedEntry*)>& next,
-    const Status* stream_status) {
-  if (picked.empty()) return Status::OK();
-  const bool includes_oldest = IsOldestComponent(picked.back());
   ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
   AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, BuildComponent(id, next));
   // A stream that stopped on an error must not install its truncated output.
-  if (stream_status != nullptr) AUXLSM_RETURN_NOT_OK(*stream_status);
+  AUXLSM_RETURN_NOT_OK(iter_status);
 
   // A merged component inherits the most conservative repair progress, and
   // the newest LSN any input carried: recovery replays the log from the
@@ -435,9 +478,7 @@ Status LsmTree::MergeFromStream(
     merged->set_range_filter(f);
   }
 
-  AUXLSM_RETURN_NOT_OK(ReplaceComponents(picked, merged));
-  if (merge_hook_) merge_hook_(picked, merged);
-  return Status::OK();
+  return ReplaceComponents(picked, merged);
 }
 
 Status LsmTree::ReplaceComponents(

@@ -173,11 +173,15 @@ class LsmTree {
   /// Consults the merge policy against the current component list; fills
   /// *picked with the chosen components (newest first) and returns true if a
   /// merge is warranted. Callers (e.g. the maintenance engine) may then run
-  /// the merge themselves via MergeComponents / MergeFromStream.
+  /// the merge themselves via MergeComponents.
   bool PickMergeCandidates(std::vector<DiskComponentPtr>* picked) const;
 
   /// Merges the given components (which must be a contiguous, current run of
-  /// the newest-first list) into one replacement component.
+  /// the newest-first list) into one replacement component. On a device
+  /// with Q > 1 queues, a merge of at least two inputs totalling 1 MiB or
+  /// more reads its inputs as Q key-range partitions, partition i bound to
+  /// queue i % Q; the partitions stream in key order on the calling thread
+  /// into the one build, so the output equals the whole-range merge's.
   Status MergeComponents(const std::vector<DiskComponentPtr>& picked);
 
   /// Merges components [range.begin, range.end) of the newest-first list.
@@ -185,17 +189,6 @@ class LsmTree {
 
   /// Merges all disk components into one.
   Status MergeAll();
-
-  /// Installs the result of a merge of `picked` whose reconciled entry
-  /// stream is supplied by `next` (ascending key order, exhausted -> false).
-  /// Applies the same repaired-ts / range-filter inheritance rules as
-  /// MergeComponents; used by the maintenance engine to stitch key-range
-  /// partitioned merges back into one component. If `stream_status` is given
-  /// it is checked after the stream ends, so a stream that stopped on an
-  /// error does not install truncated output.
-  Status MergeFromStream(const std::vector<DiskComponentPtr>& picked,
-                         const std::function<bool(OwnedEntry*)>& next,
-                         const Status* stream_status = nullptr);
 
   /// True if `c` is currently the oldest disk component (merges reaching it
   /// may drop anti-matter).
@@ -237,12 +230,6 @@ class LsmTree {
     return merge_pending_jobs_.load(std::memory_order_acquire);
   }
 
-  /// Registers a hook invoked after every merge installs its new component;
-  /// used by the Dataset to trigger merge repair (§4.4).
-  using MergeHook = std::function<void(const std::vector<DiskComponentPtr>&,
-                                       const DiskComponentPtr&)>;
-  void set_merge_hook(MergeHook hook) { merge_hook_ = std::move(hook); }
-
   /// Registers a hook invoked (outside the tree's locks) after any change
   /// to the disk-component list — flush installs and merge/repair
   /// replacements alike. The Dataset uses it to fence the tuple cache's
@@ -278,7 +265,6 @@ class LsmTree {
 
   std::atomic<size_t> merge_pending_jobs_{0};
 
-  MergeHook merge_hook_;
   InstallHook install_hook_;
 };
 

@@ -11,8 +11,7 @@
 // retired by the merge that reads them, so their pages are dead once it
 // installs. The cursors of exactly those merges read their inputs around the
 // buffer cache (no-fill scans, BufferCache::ReadNoFill):
-//   - LsmTree::MergeComponents;
-//   - the partition scans of a split merge (exec/maintenance.cc);
+//   - LsmTree::MergeComponents, one cursor per key-range partition;
 //   - the three §5.3 ConcurrentMerge builders (core/mutable_bitmap_build.cc);
 //   - the deleted-key merge (core/deleted_key.cc);
 //   - merge repair's merge (core/repair.cc).

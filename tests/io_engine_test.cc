@@ -283,10 +283,11 @@ TEST(WalGroupCommitTest, PerCommitLatencyIsReportedInModeledTime) {
 
 TEST(IoEngineDatasetTest, NvmeQueuesShortenSimulatedMaintenanceTime) {
   // End-to-end acceptance property (the fig15-mq section): the same upsert
-  // workload on the same NVMe cost parameters, once with 1 queue and once
-  // with 4 queues + 4 maintenance threads (partitioned merges). The 4-queue
-  // run's completed simulated time — the device's critical path — must land
-  // strictly below the single-queue simulated total.
+  // workload on the same NVMe cost parameters and the serial engine, once
+  // with 1 queue and once with 4 queues (queue-bound maintenance tasks and
+  // partitioned merges). The 4-queue run's completed simulated time — the
+  // device's critical path — must land strictly below the single-queue
+  // simulated total.
   auto run = [](uint32_t queues) {
     EnvOptions eo;
     eo.page_size = 4096;
@@ -298,8 +299,7 @@ TEST(IoEngineDatasetTest, NvmeQueuesShortenSimulatedMaintenanceTime) {
     o.strategy = MaintenanceStrategy::kValidation;
     o.mem_budget_bytes = 512u << 10;
     o.max_mergeable_bytes = 8u << 20;
-    o.maintenance_threads = 4;
-    o.merge_partition_min_bytes = 512u << 10;
+    o.maintenance_threads = 1;
     Dataset ds(&env, o);
     TweetGenerator gen;
     Random rng(11);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 #include <utility>
@@ -307,6 +308,121 @@ TEST(LsmTreeTest, TryMergeFollowsPolicy) {
   ASSERT_TRUE(tree.TryMerge(&merged).ok());
   EXPECT_TRUE(merged);
   EXPECT_EQ(tree.NumDiskComponents(), 1u);
+}
+
+// Every entry of a component, in key order.
+std::vector<OwnedEntry> ComponentEntries(const DiskComponentPtr& c) {
+  std::vector<OwnedEntry> out;
+  auto it = c->tree().NewIterator();
+  EXPECT_TRUE(it.SeekToFirst().ok());
+  while (it.Valid()) {
+    out.push_back(OwnedEntry{it.key().ToString(), it.value().ToString(),
+                             it.ts(), it.antimatter()});
+    EXPECT_TRUE(it.Next().ok());
+  }
+  return out;
+}
+
+TEST(LsmTreeTest, PartitionedMergeMatchesSingleQueueMerge) {
+  // The same four overlapping components (overwrites, anti-matter and
+  // bitmap-dead entries, about 2 MiB in all) on a 1-queue and a 4-queue
+  // device. The 4-queue merges read their inputs as key-range partitions
+  // on this one thread; they must build exactly what the 1-queue merges
+  // build, first a partial merge (anti-matter kept, range filters unioned)
+  // and then a full one (anti-matter dropped, range filter recomputed).
+  auto build = [](Env* env) {
+    LsmTreeOptions opts = TreeOpts();
+    opts.attach_bitmap = true;
+    opts.maintain_range_filter = true;
+    opts.filter_key_extractor = [](const Slice& key, const Slice&) {
+      return DecodeU64(key) / 10;
+    };
+    auto tree = std::make_unique<LsmTree>(env, opts);
+    const std::string pad(150, 'p');
+    uint64_t ts = 0;
+    for (uint64_t c = 0; c < 4; c++) {
+      for (uint64_t i = 0; i < 3000; i++) {
+        const uint64_t key = i * 4 + c;  // interleaved key ranges
+        tree->Put(EncodeU64(key), pad + std::to_string(key), ++ts);
+      }
+      for (uint64_t i = 0; i < 300; i++) {
+        tree->Put(EncodeU64(i * 7), "upd" + std::to_string(c), ++ts);
+        tree->PutAntimatter(EncodeU64(i * 11 + 1), ++ts);
+      }
+      EXPECT_TRUE(tree->Flush().ok());
+      const DiskComponentPtr fresh = tree->Components().front();
+      fresh->set_repaired_ts(100 - c);
+      fresh->set_max_lsn(10 + c * 3);
+      for (uint64_t o = c; o < fresh->num_entries(); o += 17) {
+        fresh->bitmap()->Set(o);
+      }
+    }
+    return tree;
+  };
+  auto merge_and_check = [](LsmTree* one, LsmTree* four, Env* four_env,
+                            size_t n) {
+    std::vector<uint64_t> reads_before;
+    for (uint32_t q = 0; q < 4; q++) {
+      reads_before.push_back(four_env->io()->queue_stats(q).pages_read);
+    }
+    auto newest = [n](LsmTree* t) {
+      std::vector<DiskComponentPtr> c = t->Components();
+      c.resize(n);
+      return c;
+    };
+    ASSERT_TRUE(one->MergeComponents(newest(one)).ok());
+    ASSERT_TRUE(four->MergeComponents(newest(four)).ok());
+    size_t queues_read = 0;
+    for (uint32_t q = 0; q < 4; q++) {
+      if (four_env->io()->queue_stats(q).pages_read > reads_before[q]) {
+        queues_read++;
+      }
+    }
+    EXPECT_GE(queues_read, 2u) << "the merge was not partitioned";
+
+    ASSERT_EQ(one->NumDiskComponents(), four->NumDiskComponents());
+    const DiskComponentPtr a = one->Components().front();
+    const DiskComponentPtr b = four->Components().front();
+    EXPECT_EQ(b->id().min_ts, a->id().min_ts);
+    EXPECT_EQ(b->id().max_ts, a->id().max_ts);
+    EXPECT_EQ(b->repaired_ts(), a->repaired_ts());
+    EXPECT_EQ(b->max_lsn(), a->max_lsn());
+    ASSERT_TRUE(a->range_filter().has_value());
+    ASSERT_TRUE(b->range_filter().has_value());
+    EXPECT_EQ(b->range_filter()->min(), a->range_filter()->min());
+    EXPECT_EQ(b->range_filter()->max(), a->range_filter()->max());
+    const std::vector<OwnedEntry> ea = ComponentEntries(a);
+    const std::vector<OwnedEntry> eb = ComponentEntries(b);
+    ASSERT_EQ(eb.size(), ea.size());
+    for (size_t i = 0; i < ea.size(); i++) {
+      EXPECT_EQ(eb[i].key, ea[i].key);
+      EXPECT_EQ(eb[i].value, ea[i].value);
+      EXPECT_EQ(eb[i].ts, ea[i].ts);
+      EXPECT_EQ(eb[i].antimatter, ea[i].antimatter);
+    }
+  };
+
+  EnvOptions eo = TestEnv();
+  eo.page_size = 4096;
+  eo.cache_pages = 64;
+  Env env_one(eo);
+  eo.io_queues = 4;
+  Env env_four(eo);
+  ASSERT_EQ(env_four.io()->num_queues(), 4u);
+  auto one = build(&env_one);
+  auto four = build(&env_four);
+
+  merge_and_check(one.get(), four.get(), &env_four, 3);
+  const std::vector<OwnedEntry> partial =
+      ComponentEntries(four->Components().front());
+  EXPECT_TRUE(std::any_of(partial.begin(), partial.end(),
+                          [](const OwnedEntry& e) { return e.antimatter; }));
+  merge_and_check(one.get(), four.get(), &env_four, 2);
+  ASSERT_EQ(four->NumDiskComponents(), 1u);
+  const std::vector<OwnedEntry> full =
+      ComponentEntries(four->Components().front());
+  EXPECT_TRUE(std::none_of(full.begin(), full.end(),
+                           [](const OwnedEntry& e) { return e.antimatter; }));
 }
 
 TEST(LsmTreeTest, RetiredComponentFilesDeleted) {

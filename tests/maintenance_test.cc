@@ -1,7 +1,7 @@
 // Maintenance engine (exec/maintenance.h): the parallel flush/merge pipeline
-// must produce datasets indistinguishable from the serial engine, stay
-// correct under concurrent readers, and partitioned merges must emit exactly
-// the entries a whole-range merge emits.
+// and the serial engine on a multi-queue device (whose large merges read
+// key-range partitions) must produce datasets indistinguishable from the
+// serial single-queue engine, and stay correct under concurrent readers.
 #include "exec/maintenance.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@ namespace {
 
 EnvOptions TestEnv(size_t cache_shards = 1) {
   EnvOptions o;
-  o.page_size = 1024;
+  o.page_size = 4096;
   o.cache_pages = 1 << 16;
   o.cache_shards = cache_shards;
   o.disk_profile = DiskProfile::Null();
@@ -44,18 +44,21 @@ DatasetOptions BaseOptions(MaintenanceStrategy strategy, size_t threads) {
   o.mem_budget_bytes = 64 << 10;  // frequent automatic flushes and merges
   o.max_mergeable_bytes = 4 << 20;
   o.maintenance_threads = threads;
-  o.merge_partition_min_bytes = 1;  // exercise partitioned merges eagerly
   return o;
 }
 
-// Ingests a deterministic workload of upserts and deletes.
+// Ingests a deterministic workload of upserts and deletes. The padded
+// messages make the primary tree's largest merges exceed the 1 MiB at which
+// a multi-queue device partitions a merge.
 void RunWorkload(Dataset* ds, uint64_t ops) {
   for (uint64_t i = 1; i <= ops; i++) {
     const uint64_t id = i % 700;
     if (i % 13 == 0) {
       ASSERT_TRUE(ds->Delete(id).ok());
     } else {
-      ASSERT_TRUE(ds->Upsert(MakeTweet(id, id % 50, i)).ok());
+      TweetRecord r = MakeTweet(id, id % 50, i);
+      r.message.append(1000, 'x');
+      ASSERT_TRUE(ds->Upsert(r).ok());
     }
   }
 }
@@ -96,16 +99,32 @@ TEST_P(MaintenanceParityTest, ParallelEngineMatchesSerialEngine) {
   EXPECT_EQ(LiveRecords(&parallel), LiveRecords(&serial));
   EXPECT_EQ(parallel.num_records(), serial.num_records());
 
+  // The serial engine on a 4-queue device: no worker pool, but its large
+  // merges read key-range partitions bound to different device queues.
+  EnvOptions q4 = TestEnv();
+  q4.io_queues = 4;
+  Env serial_q4_env(q4);
+  Dataset serial_q4(&serial_q4_env, BaseOptions(strategy, 1));
+  EXPECT_FALSE(serial_q4.maintenance()->parallel());
+  RunWorkload(&serial_q4, 3000);
+  EXPECT_EQ(serial_q4.ingest_stats().flushes, serial.ingest_stats().flushes);
+  EXPECT_EQ(serial_q4.ingest_stats().merges, serial.ingest_stats().merges);
+  EXPECT_EQ(LiveRecords(&serial_q4), LiveRecords(&serial));
+  EXPECT_EQ(serial_q4.num_records(), serial.num_records());
+
   // Secondary queries agree too (every user bucket).
   SecondaryQueryOptions q;
   for (uint64_t user = 0; user < 50; user++) {
-    QueryResult rs, rp;
+    QueryResult rs, rp, r4;
     ASSERT_TRUE(serial.QueryUserRange(user, user, q, &rs).ok());
     ASSERT_TRUE(parallel.QueryUserRange(user, user, q, &rp).ok());
-    std::set<uint64_t> ids_s, ids_p;
+    ASSERT_TRUE(serial_q4.QueryUserRange(user, user, q, &r4).ok());
+    std::set<uint64_t> ids_s, ids_p, ids_4;
     for (const auto& r : rs.records) ids_s.insert(r.id);
     for (const auto& r : rp.records) ids_p.insert(r.id);
+    for (const auto& r : r4.records) ids_4.insert(r.id);
     EXPECT_EQ(ids_p, ids_s) << "user " << user;
+    EXPECT_EQ(ids_4, ids_s) << "user " << user;
   }
 }
 
@@ -252,67 +271,6 @@ TEST(MaintenanceStressTest, LookupsDuringConcurrentFlushAndMerge) {
   }
 }
 
-TEST(PartitionedMergeTest, MatchesWholeRangeMerge) {
-  // Build two identical trees with overlapping components (including
-  // anti-matter and duplicate keys), merge one serially and one through the
-  // scheduler's key-range partitioning, and compare every surviving entry.
-  auto build = [](Env* env) {
-    auto tree = std::make_unique<LsmTree>(env, LsmTreeOptions());
-    uint64_t ts = 0;
-    for (int c = 0; c < 4; c++) {
-      for (uint64_t i = 0; i < 3000; i++) {
-        const uint64_t key = i * 4 + c;  // interleaved key ranges
-        tree->Put(EncodeU64(key), "v" + std::to_string(key * 10 + c), ++ts);
-      }
-      // Overlap: rewrite a stripe of earlier keys, delete some others.
-      for (uint64_t i = 0; i < 300; i++) {
-        tree->Put(EncodeU64(i * 7), "upd" + std::to_string(c), ++ts);
-        tree->PutAntimatter(EncodeU64(i * 11 + 1), ++ts);
-      }
-      EXPECT_TRUE(tree->Flush().ok());
-    }
-    return tree;
-  };
-
-  Env env_serial(TestEnv()), env_part(TestEnv(/*cache_shards=*/8));
-  auto serial_tree = build(&env_serial);
-  auto part_tree = build(&env_part);
-
-  ASSERT_TRUE(serial_tree->MergeAll().ok());
-
-  MaintenanceOptions mo;
-  mo.threads = 4;
-  mo.merge_partitions = 5;
-  mo.partition_min_bytes = 1;
-  MaintenanceScheduler scheduler(mo);
-  ASSERT_TRUE(scheduler.parallel());
-  ASSERT_TRUE(
-      scheduler.MergeComponents(part_tree.get(), part_tree->Components())
-          .ok());
-
-  ASSERT_EQ(serial_tree->NumDiskComponents(), 1u);
-  ASSERT_EQ(part_tree->NumDiskComponents(), 1u);
-  const auto sc = serial_tree->Components().front();
-  const auto pc = part_tree->Components().front();
-  EXPECT_EQ(pc->num_entries(), sc->num_entries());
-  EXPECT_EQ(pc->id().min_ts, sc->id().min_ts);
-  EXPECT_EQ(pc->id().max_ts, sc->id().max_ts);
-
-  auto si = sc->tree().NewIterator(32);
-  auto pi = pc->tree().NewIterator(32);
-  ASSERT_TRUE(si.SeekToFirst().ok());
-  ASSERT_TRUE(pi.SeekToFirst().ok());
-  while (si.Valid() && pi.Valid()) {
-    EXPECT_EQ(pi.key().ToString(), si.key().ToString());
-    EXPECT_EQ(pi.value().ToString(), si.value().ToString());
-    EXPECT_EQ(pi.ts(), si.ts());
-    EXPECT_EQ(pi.antimatter(), si.antimatter());
-    ASSERT_TRUE(si.Next().ok());
-    ASSERT_TRUE(pi.Next().ok());
-  }
-  EXPECT_EQ(si.Valid(), pi.Valid());
-}
-
 TEST(MaintenanceSchedulerTest, SerialSchedulerRunsInline) {
   MaintenanceOptions mo;
   mo.threads = 1;
@@ -330,37 +288,29 @@ TEST(MaintenanceSchedulerTest, SerialSchedulerRunsInline) {
 }
 
 TEST(MaintenanceSchedulerTest, NestedFanOutDoesNotDeadlock) {
-  // Tasks that themselves run partitioned merges saturate the pool; the
-  // helping wait must keep making progress with more tasks than workers.
+  // Every outer task fans out again, as CorrelatedMerge does inside a
+  // RunMerges task: more blocked outer tasks than workers saturate the
+  // pool, and the helping wait must keep making progress.
   MaintenanceOptions mo;
   mo.threads = 2;
-  mo.partition_min_bytes = 1;
   MaintenanceScheduler scheduler(mo);
-  Env env(TestEnv(/*cache_shards=*/4));
-  std::vector<std::unique_ptr<LsmTree>> trees;
-  for (int t = 0; t < 6; t++) {
-    auto tree = std::make_unique<LsmTree>(&env, LsmTreeOptions());
-    uint64_t ts = 0;
-    for (int c = 0; c < 3; c++) {
-      for (uint64_t i = 0; i < 500; i++) {
-        tree->Put(EncodeU64(i * 3 + c), "v", ++ts);
-      }
-      ASSERT_TRUE(tree->Flush().ok());
-    }
-    trees.push_back(std::move(tree));
-  }
+  ASSERT_TRUE(scheduler.parallel());
+  std::atomic<int> inner_ran{0};
   std::vector<std::function<Status()>> tasks;
-  for (auto& tree : trees) {
-    LsmTree* t = tree.get();
-    tasks.push_back([&scheduler, t]() {
-      return scheduler.MergeComponents(t, t->Components());
+  for (int t = 0; t < 6; t++) {
+    tasks.push_back([&scheduler, &inner_ran]() {
+      std::vector<std::function<Status()>> inner;
+      for (int i = 0; i < 3; i++) {
+        inner.push_back([&inner_ran]() {
+          inner_ran.fetch_add(1);
+          return Status::OK();
+        });
+      }
+      return scheduler.RunAll(std::move(inner));
     });
   }
   ASSERT_TRUE(scheduler.RunAll(std::move(tasks)).ok());
-  for (auto& tree : trees) {
-    EXPECT_EQ(tree->NumDiskComponents(), 1u);
-    EXPECT_EQ(tree->Components().front()->num_entries(), 1500u);
-  }
+  EXPECT_EQ(inner_ran.load(), 18);
 }
 
 }  // namespace
