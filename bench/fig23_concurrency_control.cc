@@ -105,6 +105,7 @@ struct MultiWriterResult {
   double sim_s = 0;       ///< storage + log device work (summed queues)
   double crit_s = 0;      ///< storage + log critical path
   double avg_commit_lat_us = 0;  ///< modeled group-commit latency
+  double commits_per_sync = 0;   ///< group-commit batch size (0: no syncs)
 };
 
 MultiWriterResult RunMultiWriterIngest(int writers, BuildCcMethod method,
@@ -142,7 +143,7 @@ MultiWriterResult RunMultiWriterIngest(int writers, BuildCcMethod method,
   const uint64_t per_writer = total_records / uint64_t(writers);
   for (int t = 0; t < writers; t++) {
     threads.emplace_back([&ds, &env, t, per_writer]() {
-      // Writer t's reads, and any group-commit sync it leads, charge device
+      // Writer t's reads, and any group-commit sync it makes, charge device
       // queue (t % queues) of the storage and log engines (no-op at q=1).
       IoQueueScope storage_q(env.io(), uint32_t(t));
       IoQueueScope log_q(ds.wal()->io(), uint32_t(t));
@@ -170,6 +171,8 @@ MultiWriterResult RunMultiWriterIngest(int writers, BuildCcMethod method,
   const WalStats ws = ds.wal()->wal_stats() - wal0;
   res.avg_commit_lat_us =
       ws.commits > 0 ? ws.commit_latency_us_total / double(ws.commits) : 0;
+  res.commits_per_sync =
+      ws.syncs > 0 ? double(ws.commits) / double(ws.syncs) : 0;
   if (ds.num_records() != per_writer * uint64_t(writers)) std::abort();
   if (!trace_path.empty()) WriteChromeTrace(ds.tracer(), trace_path);
   return res;
@@ -332,7 +335,9 @@ int main(int argc, char** argv) {
       "writers=1 is the legacy serial path (inline flush/merge); >1 runs "
       "background seal/flush/merge with group-commit WAL and the given "
       "merge CC method (Baseline = stop-the-world). Wall time only; the "
-      "modeled-I/O figures above stay pinned to the serial engine.");
+      "modeled-I/O figures above stay pinned to the serial engine. "
+      "commits_per_sync is the group-commit batch size (0 = no syncs, "
+      "the serial path).");
   const uint64_t scaling_records = flags.tiny ? 8000 : 60000;
   for (int writers : {1, 2, 4, 8}) {
     for (BuildCcMethod m : methods) {
@@ -340,7 +345,8 @@ int main(int argc, char** argv) {
           RunMultiWriterIngest(writers, m, scaling_records);
       char extra[120];
       std::snprintf(extra, sizeof(extra),
-                    "wall_s avg_commit_lat_us=%.1f", r.avg_commit_lat_us);
+                    "wall_s avg_commit_lat_us=%.1f commits_per_sync=%.2f",
+                    r.avg_commit_lat_us, r.commits_per_sync);
       PrintRow(MethodName(m), "w=" + std::to_string(writers), r.wall_s,
                extra);
       if (writers == 1 && m == BuildCcMethod::kNone) {
@@ -365,7 +371,7 @@ int main(int argc, char** argv) {
                          /*queues=*/1, flags.trace_json);
   }
 
-  // Multi-queue device: writers (and the group-commit syncs they lead) are
+  // Multi-queue device: writers (and the group-commit syncs they make) are
   // bound to independent storage/log queues, so the modeled I/O of the
   // pipeline overlaps — crit_s is what the multi-queue device completes in.
   PrintHeader("Fig23e", "multi-writer on " + std::to_string(flags.queues) +

@@ -141,8 +141,14 @@ Status Btree::ApproximateSplitKeys(size_t partitions,
     const uint32_t leaf = static_cast<uint32_t>(
         uint64_t{meta_.num_leaf_pages} * i / partitions);
     if (leaf == 0 || leaf >= meta_.num_leaf_pages) continue;
-    BtreePage page;
-    AUXLSM_RETURN_NOT_OK(ReadPage(meta_.first_leaf_page + leaf, &page));
+    // The partitioned merge that asks retires this tree, so its leaves are
+    // read around the buffer cache, like the merge's own scan.
+    PageData data;
+    PageWindow window;
+    AUXLSM_RETURN_NOT_OK(env_->ReadPageNoFill(
+        meta_.file_id, meta_.first_leaf_page + leaf, &data,
+        /*readahead_pages=*/0, &window));
+    const BtreePage page(std::move(data), env_->page_size());
     if (!page.is_leaf() || page.count() == 0) continue;
     std::string key = page.KeyAt(0).ToString();
     if (out->empty() || out->back() < key) out->push_back(std::move(key));

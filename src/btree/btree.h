@@ -75,7 +75,9 @@ class Btree {
   /// Returns up to `partitions - 1` keys that split the tree's key space
   /// into roughly equal-sized runs of leaf pages (used by partitioned
   /// merges). Keys are strictly ascending first-keys of evenly spaced
-  /// leaves; fewer (possibly zero) keys come back for small trees.
+  /// leaves; fewer (possibly zero) keys come back for small trees. The
+  /// leaves are read without filling the buffer cache (the caller is a
+  /// merge retiring this tree); a miss charges what a cached read would.
   Status ApproximateSplitKeys(size_t partitions,
                               std::vector<std::string>* out) const;
 

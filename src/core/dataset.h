@@ -111,7 +111,7 @@ struct DatasetOptions {
 
   /// Queues of the dedicated log device (io/io_engine.h). 1 = the legacy
   /// single-head log model. With more queues, group-commit syncs are charged
-  /// to the leader's bound log queue (bind committer threads with
+  /// to the syncing committer's bound log queue (bind committer threads with
   /// IoQueueScope on wal()->io()) and overlap in modeled time.
   uint32_t log_queues = 1;
 

@@ -363,6 +363,10 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
   // Record-level X lock on the primary key for the transaction's duration.
   const std::string pk = record.primary_key();
   txn->Lock(pk, LockMode::kExclusive);
+  // Holding its only record lock (and the shared ingest latch), the op can
+  // no longer wait on another committer: it joins the WAL's commit window,
+  // so committers that finish first wait to share its sync.
+  if (owns_txn) txn->JoinCommitWindow();
   // Auto-commit transactions never roll back; skip undo bookkeeping — unless
   // a fault injector is armed: an injected WAL drop must be able to undo the
   // op's memtable effects, or unlogged state would survive to the next flush.

@@ -65,7 +65,7 @@ obs::MetricsSnapshot Dataset::MetricsSnapshot() {
   s.Set("wal.commit_waiters", double(wb.commit_waiters));
   s.Set("wal.unsynced_records", double(wb.unsynced_records));
   s.Set("wal.tail_bytes", double(wb.tail_bytes));
-  s.Set("wal.sync_in_progress", wb.sync_in_progress ? 1 : 0);
+  s.Set("wal.commit_window", double(wb.commit_window));
 
   // Device accounting: storage engine, log engine, page cache.
   FoldIo(&s, "io.storage", env_->stats());

@@ -22,6 +22,13 @@ std::string LogRecord::Encode() const {
   return out;
 }
 
+size_t LogRecord::EncodedSize() const {
+  // Header (length + CRC), then the body fields in Encode()'s order.
+  return 8 + VarintLength(lsn) + VarintLength(txn_id) + 2 + VarintLength(ts) +
+         VarintLength(key.size()) + key.size() + VarintLength(value.size()) +
+         value.size();
+}
+
 Status LogRecord::Decode(const Slice& data, LogRecord* out, size_t* consumed) {
   if (data.size() < 8) return Status::Corruption("log record header");
   const uint32_t len = DecodeFixed32(data.data());

@@ -1,5 +1,7 @@
 #include "txn/transaction.h"
 
+#include <utility>
+
 #include "cache/tuple_cache.h"
 
 namespace auxlsm {
@@ -41,12 +43,14 @@ Status Transaction::Commit() {
     return Status::InvalidArgument("transaction not active");
   }
   // The commit record goes through the WAL's commit path: with group commit
-  // enabled the call returns once a leader has synced the batch containing
-  // it; on the serial path it is a plain append, exactly as before.
+  // enabled the call returns once a sync has covered it; on the serial path
+  // it is a plain append, exactly as before. A window member leaves the
+  // window inside the call, whether or not the record is kept.
   LogRecord commit;
   commit.type = LogRecordType::kCommit;
   commit.txn_id = id_;
-  if (wal_->AppendCommit(std::move(commit)) == kInvalidLsn) {
+  const bool member = std::exchange(in_commit_window_, false);
+  if (wal_->AppendCommit(std::move(commit), member) == kInvalidLsn) {
     // The log dropped the commit record (fault injection / crash): the
     // transaction can never be durable, so roll its effects back and fail
     // the commit — leaving the effects in place would let a later flush
@@ -72,6 +76,7 @@ Status Transaction::Abort() {
   LogRecord abort;
   abort.type = LogRecordType::kAbort;
   Log(std::move(abort));
+  if (std::exchange(in_commit_window_, false)) wal_->LeaveCommitWindow();
   state_ = State::kAborted;
   NoteClosed();
   ReleaseLocks();

@@ -39,6 +39,13 @@ class Transaction {
   /// Appends a log record stamped with this transaction's id.
   Lsn Log(LogRecord record);
 
+  /// Joins the WAL's commit window (txn/wal.h) for this transaction's
+  /// lifetime; a no-op with group commit off. Only an auto-commit op that
+  /// already holds every lock it will take may join: Commit leaves the
+  /// window with its commit record, and Abort — including the destructor's,
+  /// so every early return is covered — leaves it without one.
+  void JoinCommitWindow() { in_commit_window_ = wal_->JoinCommitWindow(); }
+
   /// Registers an inverse operation executed (in reverse order) on abort.
   void PushUndo(std::function<void()> inverse) {
     undo_.push_back(std::move(inverse));
@@ -70,6 +77,7 @@ class Transaction {
   State state_ = State::kActive;
   std::vector<std::function<void()>> undo_;
   TupleCache* rollback_cache_ = nullptr;
+  bool in_commit_window_ = false;
 };
 
 class TransactionManager {

@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace auxlsm {
+
+namespace {
+
+/// Polls of the durable LSN a waiting committer makes before it blocks.
+constexpr int kCommitSpins = 256;
+
+}  // namespace
 
 void Wal::set_group_commit(bool on) {
   MutexLock l(mu_);
@@ -36,9 +42,10 @@ Wal::Backlog Wal::backlog() const {
   Backlog b;
   b.commit_waiters = commit_waiters_;
   const Lsn tail = next_lsn_ - 1;
-  b.unsynced_records = tail > durable_lsn_ ? tail - durable_lsn_ : 0;
+  const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
+  b.unsynced_records = tail > durable ? tail - durable : 0;
   b.tail_bytes = bytes_since_page_;
-  b.sync_in_progress = sync_in_progress_;
+  b.commit_window = window_.load(std::memory_order_relaxed);
   return b;
 }
 
@@ -46,12 +53,11 @@ Lsn Wal::AppendLocked(LogRecord record) {
   record.lsn = next_lsn_++;
   // Charge sequential log I/O one page at a time as bytes accumulate; full
   // pages stream out on the appending thread's log-device queue.
-  bytes_since_page_ += record.Encode().size();
+  bytes_since_page_ += record.EncodedSize();
   while (bytes_since_page_ >= log_page_bytes_) {
     io_.ChargeWrite(1);
     bytes_since_page_ -= log_page_bytes_;
   }
-  tail_dirty_ = true;
   wstats_.records++;
   const Lsn lsn = record.lsn;
   records_.push_back(std::move(record));
@@ -66,20 +72,80 @@ Lsn Wal::Append(LogRecord record) {
   return AppendLocked(std::move(record));
 }
 
+bool Wal::JoinCommitWindow() {
+  MutexLock l(mu_);
+  if (!group_commit_) return false;
+  window_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void Wal::LeaveCommitWindow() {
+  MutexLock l(mu_);
+  LeaveLocked();
+}
+
+void Wal::LeaveLocked() {
+  // The last member out lets a waiting committer sync (it re-checks the
+  // window under mu_); a spinning one sees the count drop to zero.
+  if (window_.fetch_sub(1, std::memory_order_release) == 1 &&
+      commit_waiters_ > 0) {
+    cv_.NotifyAll();
+  }
+}
+
+void Wal::SyncLocked() {
+  // The modeled fsync of the partial tail page, charged to the syncing
+  // committer's bound log queue. The durable point is read from the
+  // device's completed-time clock (critical path) rather than the sync
+  // ticket: a commit's enter time uses the same clock, so the two endpoints
+  // of its latency are always comparable even when appends and syncs land
+  // on different queues (per-queue clocks are not mutually ordered; the
+  // critical path is monotone under mu_). An injected wal.sync failure
+  // skips the flush charge; the records themselves already sit in the
+  // modeled log, so nothing is lost — the fire is visible in the injector's
+  // stats and commit latency.
+  if (fault_ == nullptr || !fault_->HitCharge(failpoints::kWalSync, &io_)) {
+    const double sync_wall0 = tracer_ != nullptr ? tracer_->WallNowUs() : 0;
+    const double sync_modeled0 = io_.critical_path_us();
+    io_.Submit(IoRequest::Write(1));
+    durable_point_us_ = std::max(durable_point_us_, io_.critical_path_us());
+    if (tracer_ != nullptr) {
+      obs::TraceEvent ev;
+      ev.SetName("wal.sync");
+      ev.cat = "wal";
+      ev.queue = int32_t(io_.BoundQueue());
+      ev.wall_ts_us = sync_wall0;
+      ev.wall_dur_us = tracer_->WallNowUs() - sync_wall0;
+      ev.modeled_ts_us = sync_modeled0;
+      ev.modeled_dur_us = durable_point_us_ - sync_modeled0;
+      tracer_->Record(ev);
+    }
+  }
+  durable_lsn_.store(next_lsn_ - 1, std::memory_order_release);
+  wstats_.syncs++;
+  cv_.NotifyAll();
+}
+
 Lsn Wal::AppendCommit(LogRecord record) {
-  // The leader protocol cycles the mutex mid-function (the commit window's
-  // yield below), which no scoped guard can express — explicit annotated
-  // lock()/unlock() calls keep the static analysis tracking every path.
+  return AppendCommit(std::move(record), /*window_member=*/false);
+}
+
+Lsn Wal::AppendCommit(LogRecord record, bool window_member) {
+  // A waiting committer spins briefly with mu_ released before it blocks,
+  // which no scoped guard can express — explicit annotated lock()/unlock()
+  // calls keep the static analysis tracking every path.
   mu_.lock();
   if (fault_ != nullptr && fault_->HitParked(failpoints::kWalAppend, &io_)) {
+    if (window_member) LeaveLocked();
     mu_.unlock();
     return kInvalidLsn;  // commit record dropped — the txn must roll back
   }
   const Lsn lsn = AppendLocked(std::move(record));
   wstats_.commits++;
+  if (window_member) LeaveLocked();
   if (!group_commit_) {
     // Legacy serial path: identical to Append (no modeled sync).
-    durable_lsn_ = lsn;
+    durable_lsn_.store(lsn, std::memory_order_release);
     mu_.unlock();
     return lsn;
   }
@@ -87,62 +153,36 @@ Lsn Wal::AppendCommit(LogRecord record) {
   // append) to its batch's sync completion.
   const double enter_us = io_.critical_path_us();
   ++commit_waiters_;
-  bool led = false;
-  while (durable_lsn_ < lsn) {
-    if (sync_in_progress_) {
-      cv_.Wait(mu_);
-      continue;
+  bool synced = false;
+  bool spun = false;
+  while (durable_lsn_.load(std::memory_order_relaxed) < lsn) {
+    if (window_.load(std::memory_order_relaxed) == 0) {
+      // Last committer in: nothing in flight can still join this batch
+      // before its commit, so sync everything appended now.
+      SyncLocked();
+      synced = true;
+      break;
     }
-    // Become the leader: open a short commit window so concurrent commits
-    // can append into the batch, then sync everything with one flush. The
-    // sync is charged to the leader's bound log-device queue, so batches led
-    // from different queues overlap in modeled time.
-    led = true;
-    sync_in_progress_ = true;
-    mu_.unlock();
-    std::this_thread::yield();
-    mu_.lock();
-    if (tail_dirty_) {
-      // The modeled fsync of the partial tail page, charged to the leader's
-      // bound log queue. The durable point is read from the device's
-      // completed-time clock (critical path) rather than the sync ticket:
-      // enter_us below uses the same clock, so the two endpoints of a
-      // commit's latency are always comparable even when appends, syncs,
-      // and leaders land on different queues (per-queue clocks are not
-      // mutually ordered; the critical path is monotone under mu_).
-      // An injected wal.sync failure skips the flush charge; the records
-      // themselves already sit in the modeled log, so nothing is lost —
-      // the fire is visible in the injector's stats and commit latency.
-      if (fault_ == nullptr ||
-          !fault_->HitCharge(failpoints::kWalSync, &io_)) {
-        const double sync_wall0 = tracer_ != nullptr ? tracer_->WallNowUs() : 0;
-        const double sync_modeled0 = io_.critical_path_us();
-        io_.Submit(IoRequest::Write(1));
-        durable_point_us_ =
-            std::max(durable_point_us_, io_.critical_path_us());
-        if (tracer_ != nullptr) {
-          obs::TraceEvent ev;
-          ev.SetName("wal.sync");
-          ev.cat = "wal";
-          ev.queue = int32_t(io_.BoundQueue());
-          ev.wall_ts_us = sync_wall0;
-          ev.wall_dur_us = tracer_->WallNowUs() - sync_wall0;
-          ev.modeled_ts_us = sync_modeled0;
-          ev.modeled_dur_us = durable_point_us_ - sync_modeled0;
-          tracer_->Record(ev);
+    if (!spun) {
+      // The members still in flight are usually a few microseconds from
+      // their own commit: spin on the durable LSN before paying for a
+      // futex sleep and wake-up.
+      spun = true;
+      mu_.unlock();
+      for (int i = 0; i < kCommitSpins; i++) {
+        if (durable_lsn_.load(std::memory_order_acquire) >= lsn ||
+            window_.load(std::memory_order_acquire) == 0) {
+          break;
         }
       }
-      tail_dirty_ = false;
+      mu_.lock();
+      continue;
     }
-    durable_lsn_ = next_lsn_ - 1;
-    wstats_.syncs++;
-    sync_in_progress_ = false;
-    cv_.NotifyAll();
+    cv_.Wait(mu_);
   }
-  if (!led) wstats_.batched_commits++;
-  // Non-negative by monotonicity whenever our batch synced after we entered;
-  // the clamp covers the already-durable case (tail was clean), where the
-  // commit genuinely waited on nothing.
+  if (!synced) wstats_.batched_commits++;
+  // Non-negative by monotonicity: the batch's sync completed after this
+  // commit's append; the clamp covers a skipped (fault-injected) sync.
   const double latency_us = std::max(0.0, durable_point_us_ - enter_us);
   wstats_.commit_latency_us_total += latency_us;
   wstats_.commit_latency_us_max =
@@ -165,20 +205,18 @@ Lsn Wal::tail_lsn() const {
 
 std::vector<LogRecord> Wal::ReadFrom(Lsn after) const {
   MutexLock l(mu_);
-  std::vector<LogRecord> out;
-  for (const auto& r : records_) {
-    if (r.lsn > after) out.push_back(r);
-  }
-  return out;
+  // Records are appended in LSN order, so the answer is a suffix.
+  const auto first =
+      std::partition_point(records_.begin(), records_.end(),
+                           [&](const LogRecord& r) { return r.lsn <= after; });
+  return std::vector<LogRecord>(first, records_.end());
 }
 
 void Wal::TruncateUpTo(Lsn up_to) {
   MutexLock l(mu_);
-  records_.erase(std::remove_if(records_.begin(), records_.end(),
-                                [&](const LogRecord& r) {
-                                  return r.lsn <= up_to;
-                                }),
-                 records_.end());
+  while (!records_.empty() && records_.front().lsn <= up_to) {
+    records_.pop_front();
+  }
 }
 
 WalStats Wal::wal_stats() const {

@@ -4,25 +4,33 @@
 // perturbs the storage device's sequential/random accounting. The log device
 // defaults to one queue — bit-for-bit the legacy single-head DiskModel — but
 // can be built from a multi-queue DeviceProfile, in which case each group
-// commit's sync is charged to the syncing (leader) thread's bound queue and
-// syncs led from different queues overlap in modeled time.
+// commit's sync is charged to the syncing committer's bound queue and syncs
+// made from different queues overlap in modeled time.
 //
-// Group commit (the multi-writer ingestion pipeline): with group commit
-// enabled, AppendCommit makes a commit record durable through a leader-based
-// protocol — one committer becomes the leader, opens a short commit window
-// so concurrent committers can append their records into the batch, then
-// syncs the whole batch with a single modeled log flush and wakes the group.
-// Every commit's modeled latency — the log device's virtual time from the
-// commit's append to its batch's sync completion — is accumulated in
-// WalStats, which is what makes the per-commit win of group commit
-// reportable in simulated time. With group commit off (writer_threads == 1),
+// Group commit (the multi-writer ingestion pipeline) batches by
+// construction, through a commit window: the set of in-flight auto-commit
+// ingest ops. An op joins the window once it holds its record lock
+// (JoinCommitWindow) and leaves it when its commit record is appended, or
+// when it aborts or fails (LeaveCommitWindow). A committer that finds the
+// window empty after appending charges the one modeled sync that covers
+// every record appended so far and wakes the waiters; a committer that finds
+// it occupied waits — a short spin on the durable LSN, then the condition
+// variable — until the last member in syncs for it. Window members hold
+// their only record lock and the shared ingest latch, so they never wait on
+// a waiting committer, and the window always drains. Commits that are not
+// members (explicit transactions, maintenance transactions) wait for the
+// window the same way. Every commit's modeled latency — the log device's
+// virtual time from the commit's append to its batch's sync completion — is
+// accumulated in WalStats. With group commit off (writer_threads == 1),
 // AppendCommit is exactly Append: no syncs are charged, bit-for-bit the
-// legacy serial behavior.
+// legacy serial behavior, and nothing joins the window.
 //
 // The log survives a simulated crash (tests drop the Dataset but keep the
 // Wal + Env), which is what recovery replays from.
 #pragma once
 
+#include <atomic>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -46,7 +54,7 @@ struct WalStats {
   uint64_t records = 0;          ///< log records appended
   uint64_t commits = 0;          ///< AppendCommit calls
   uint64_t syncs = 0;            ///< modeled log-device flushes
-  uint64_t batched_commits = 0;  ///< commits made durable by another leader
+  uint64_t batched_commits = 0;  ///< commits made durable by another's sync
   /// Modeled commit latency (group commit only): log-device virtual time
   /// from a commit's append to its batch's sync completion, summed / maxed
   /// over commits. Average = commit_latency_us_total / commits.
@@ -74,13 +82,13 @@ class Wal {
       : io_(DeviceProfile::FromDisk(std::move(profile), 1)),
         log_page_bytes_(log_page_bytes) {}
 
-  /// Multi-queue log device; group-commit syncs are charged per leader
-  /// queue (bind committer threads with IoQueueScope on io()).
+  /// Multi-queue log device; group-commit syncs are charged to the syncing
+  /// committer's queue (bind committer threads with IoQueueScope on io()).
   explicit Wal(DeviceProfile profile, size_t log_page_bytes = 4096)
       : io_(std::move(profile)), log_page_bytes_(log_page_bytes) {}
 
-  /// Enables leader-based group commit for AppendCommit (the dataset turns
-  /// this on when writer_threads > 1).
+  /// Enables group commit for AppendCommit (the dataset turns this on when
+  /// writer_threads > 1).
   void set_group_commit(bool on);
 
   /// Failpoint hook (fault/fault_injector.h). An armed wal.append fire
@@ -94,8 +102,17 @@ class Wal {
   Lsn Append(LogRecord record);
 
   /// Appends a commit record and returns once it is durable. See the group
-  /// commit notes above.
+  /// commit notes above. The second form is a window member's commit: it
+  /// leaves the window (under the same lock as the append, and also when
+  /// the record is dropped) before deciding whether to sync or wait.
   Lsn AppendCommit(LogRecord record);
+  Lsn AppendCommit(LogRecord record, bool window_member);
+
+  /// Commit-window membership. JoinCommitWindow returns false (and joins
+  /// nothing) with group commit off. A member must leave exactly once:
+  /// through AppendCommit(record, true) or LeaveCommitWindow.
+  bool JoinCommitWindow();
+  void LeaveCommitWindow();
 
   /// Current tail LSN (last assigned); kInvalidLsn if empty.
   Lsn tail_lsn() const;
@@ -119,7 +136,7 @@ class Wal {
     uint64_t commit_waiters = 0;    ///< committers inside AppendCommit
     uint64_t unsynced_records = 0;  ///< appended past the durable LSN
     uint64_t tail_bytes = 0;        ///< partial tail page not yet streamed
-    bool sync_in_progress = false;  ///< a leader's commit window is open
+    uint64_t commit_window = 0;     ///< window members (in-flight ops)
   };
   Backlog backlog() const;
 
@@ -132,6 +149,11 @@ class Wal {
 
  private:
   Lsn AppendLocked(LogRecord record) REQUIRES(mu_);
+  /// Makes every appended record durable with one modeled log flush and
+  /// wakes the waiting committers.
+  void SyncLocked() REQUIRES(mu_);
+  /// Drops one window member; the last one out wakes waiting committers.
+  void LeaveLocked() REQUIRES(mu_);
 
   /// mu_ is the commit-window mutex: it guards the log tail (records_,
   /// next_lsn_, the partial-page byte counter) and the whole group-commit
@@ -144,16 +166,19 @@ class Wal {
   const size_t log_page_bytes_;
   size_t bytes_since_page_ GUARDED_BY(mu_) = 0;
   Lsn next_lsn_ GUARDED_BY(mu_) = 1;
-  std::vector<LogRecord> records_ GUARDED_BY(mu_);
+  /// A deque, not a vector: growth never copies the whole log while the old
+  /// buffer is still live.
+  std::deque<LogRecord> records_ GUARDED_BY(mu_);
 
   obs::Histogram* commit_hist_ GUARDED_BY(mu_) = nullptr;  ///< wal.commit_modeled_ns
   obs::Tracer* tracer_ GUARDED_BY(mu_) = nullptr;
 
   bool group_commit_ GUARDED_BY(mu_) = false;
-  bool sync_in_progress_ GUARDED_BY(mu_) = false;  ///< a leader's window is open
-  bool tail_dirty_ GUARDED_BY(mu_) = false;  ///< appended bytes not yet synced
   uint64_t commit_waiters_ GUARDED_BY(mu_) = 0;  ///< inside AppendCommit
-  Lsn durable_lsn_ GUARDED_BY(mu_) = 0;
+  /// Window members. Written under mu_; waiting committers spin on it (and
+  /// on durable_lsn_) without the lock.
+  std::atomic<uint64_t> window_{0};
+  std::atomic<Lsn> durable_lsn_{0};  ///< written under mu_
   /// Log-device critical path as of the last completed sync; batched
   /// commits read it to compute their modeled latency.
   double durable_point_us_ GUARDED_BY(mu_) = 0;

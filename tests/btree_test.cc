@@ -308,6 +308,49 @@ TEST(BtreeIoTest, NoFillIteratorMatchesFillingIterator) {
   }
 }
 
+// The split leaves are read around the buffer cache (a partitioned merge
+// asks, and it retires the tree), with the charges a filling read of the
+// same leaves makes on a cold cache.
+TEST(BtreeIoTest, ApproximateSplitKeysLeavesCacheUnchanged) {
+  EnvOptions o = TestEnv();
+  o.disk_profile = DiskProfile::Hdd();
+  Env env(o);
+  Btree tree(&env, BuildTree(&env, 5000));
+  Env twin(o);
+  Btree twin_tree(&twin, BuildTree(&twin, 5000));
+
+  const size_t resident0 = env.cache()->size();
+  const IoStats before = env.stats();
+  std::vector<std::string> keys;
+  ASSERT_TRUE(tree.ApproximateSplitKeys(4, &keys).ok());
+  const IoStats charged = env.stats() - before;
+  EXPECT_EQ(keys.size(), 3u);
+  EXPECT_EQ(env.cache()->size(), resident0);
+
+  // The same leaves read through the cache on the twin Env: same keys,
+  // same modeled charges, but the cache keeps them.
+  const BtreeMeta& m = twin_tree.meta();
+  const IoStats twin_before = twin.stats();
+  std::vector<std::string> filled_keys;
+  for (uint32_t i = 1; i < 4; i++) {
+    PageData data;
+    ASSERT_TRUE(twin.ReadPage(m.file_id,
+                              m.first_leaf_page + m.num_leaf_pages * i / 4,
+                              &data)
+                    .ok());
+    filled_keys.push_back(
+        BtreePage(std::move(data), twin.page_size()).KeyAt(0).ToString());
+  }
+  const IoStats twin_charged = twin.stats() - twin_before;
+  EXPECT_EQ(keys, filled_keys);
+  EXPECT_EQ(charged.pages_read, twin_charged.pages_read);
+  EXPECT_EQ(charged.random_reads, twin_charged.random_reads);
+  EXPECT_EQ(charged.sequential_reads, twin_charged.sequential_reads);
+  EXPECT_EQ(charged.cache_misses, twin_charged.cache_misses);
+  EXPECT_DOUBLE_EQ(charged.simulated_us, twin_charged.simulated_us);
+  EXPECT_EQ(twin.cache()->size(), resident0 + 3);
+}
+
 TEST(BtreeTest, LargeValuesSpanPages) {
   Env env(TestEnv());
   BtreeBuilder b(&env);

@@ -7,11 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dataset.h"
+#include "fault/fault_injector.h"
+#include "txn/transaction.h"
 #include "txn/wal.h"
 
 namespace auxlsm {
@@ -341,7 +344,7 @@ TEST(GroupCommitWalTest, ConcurrentCommitsBatchSyncs) {
   EXPECT_EQ(stats.records, uint64_t(kThreads * kCommits));
   EXPECT_GE(stats.syncs, 1u);
   EXPECT_LE(stats.syncs, stats.commits);
-  // Every commit either led a sync or was batched under another leader's.
+  // Every commit either made a sync or was covered by another commit's.
   EXPECT_EQ(stats.batched_commits, stats.commits - stats.syncs);
   // Every record present, LSNs strictly increasing.
   const auto records = wal.ReadFrom(0);
@@ -376,6 +379,165 @@ TEST(GroupCommitWalTest, SingleThreadGroupCommitStaysDurable) {
   EXPECT_EQ(stats.commits, 20u);
   EXPECT_EQ(stats.syncs, 20u);  // no concurrency: every commit leads
   EXPECT_EQ(wal.tail_lsn(), last);
+}
+
+LogRecord CommitRecord() {
+  LogRecord r;
+  r.type = LogRecordType::kCommit;
+  return r;
+}
+
+// Blocks until n committers wait inside AppendCommit.
+void AwaitCommitWaiters(const Wal& wal, uint64_t n) {
+  while (wal.backlog().commit_waiters < n) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
+// Two window members, two commits: the first commit finds the second member
+// still in flight and waits; the second finds the window empty and makes
+// the one sync that covers both.
+TEST(GroupCommitWalTest, WindowMembersShareOneSync) {
+  Wal wal(DiskProfile::Null());
+  wal.set_group_commit(true);
+  ASSERT_TRUE(wal.JoinCommitWindow());
+  ASSERT_TRUE(wal.JoinCommitWindow());
+  EXPECT_EQ(wal.backlog().commit_window, 2u);
+  Lsn first_lsn = kInvalidLsn;
+  std::thread first(
+      [&]() { first_lsn = wal.AppendCommit(CommitRecord(), true); });
+  AwaitCommitWaiters(wal, 1);
+  EXPECT_EQ(wal.wal_stats().syncs, 0u);
+  EXPECT_EQ(wal.backlog().commit_window, 1u);
+  const Lsn second_lsn = wal.AppendCommit(CommitRecord(), true);
+  first.join();
+  EXPECT_LT(first_lsn, second_lsn);
+  const WalStats stats = wal.wal_stats();
+  EXPECT_EQ(stats.commits, 2u);
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(stats.batched_commits, stats.commits - stats.syncs);
+  const Wal::Backlog b = wal.backlog();
+  EXPECT_EQ(b.commit_window, 0u);
+  EXPECT_EQ(b.commit_waiters, 0u);
+  EXPECT_EQ(b.unsynced_records, 0u);
+}
+
+// With group commit off nothing joins the window.
+TEST(GroupCommitWalTest, SerialPathJoinsNoWindow) {
+  Wal wal(DiskProfile::Null());
+  EXPECT_FALSE(wal.JoinCommitWindow());
+  EXPECT_EQ(wal.backlog().commit_window, 0u);
+  LockManager locks;
+  Transaction txn(1, &locks, &wal);
+  txn.JoinCommitWindow();
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(wal.wal_stats().syncs, 0u);
+  EXPECT_EQ(wal.backlog().commit_window, 0u);
+}
+
+// A member that leaves without a commit record — an abort, the destructor's
+// abort, or a commit record the wal.append failpoint drops — releases the
+// committer waiting on it, which then makes the batch's one sync.
+TEST(GroupCommitWalTest, MemberLeavingWithoutCommitReleasesWaiters) {
+  enum class Leave { kAbort, kDestructor, kDroppedCommit };
+  for (Leave leave : {Leave::kAbort, Leave::kDestructor, Leave::kDroppedCommit}) {
+    SCOPED_TRACE(int(leave));
+    FaultInjector fault(1);
+    Wal wal(DiskProfile::Null());
+    wal.set_group_commit(true);
+    wal.set_fault_injector(&fault);
+    LockManager locks;
+    Transaction committer(1, &locks, &wal);
+    auto leaver = std::make_unique<Transaction>(2, &locks, &wal);
+    committer.JoinCommitWindow();
+    leaver->JoinCommitWindow();
+    Status committed;
+    std::thread t([&]() { committed = committer.Commit(); });
+    AwaitCommitWaiters(wal, 1);
+    switch (leave) {
+      case Leave::kAbort:
+        ASSERT_TRUE(leaver->Abort().ok());
+        break;
+      case Leave::kDestructor:
+        leaver.reset();
+        break;
+      case Leave::kDroppedCommit:
+        fault.Arm(failpoints::kWalAppend,
+                  FaultSpec::ErrorNth(Status::IOError("drop"), 1));
+        EXPECT_TRUE(leaver->Commit().IsIOError());
+        EXPECT_EQ(leaver->state(), Transaction::State::kAborted);
+        break;
+    }
+    t.join();
+    EXPECT_TRUE(committed.ok());
+    const WalStats stats = wal.wal_stats();
+    EXPECT_EQ(stats.commits, 1u);
+    EXPECT_EQ(stats.syncs, 1u);
+    EXPECT_EQ(stats.batched_commits, 0u);
+    EXPECT_EQ(wal.backlog().commit_window, 0u);
+  }
+}
+
+// An explicit transaction never joins the window; its commit waits for the
+// members in flight and completes with their sync.
+TEST(GroupCommitWalTest, ExplicitCommitCompletesWhileMembersInFlight) {
+  Wal wal(DiskProfile::Null());
+  wal.set_group_commit(true);
+  LockManager locks;
+  Transaction member(1, &locks, &wal);
+  member.JoinCommitWindow();
+  Transaction explicit_txn(2, &locks, &wal);
+  Status committed;
+  std::thread t([&]() { committed = explicit_txn.Commit(); });
+  AwaitCommitWaiters(wal, 1);
+  ASSERT_TRUE(member.Commit().ok());
+  t.join();
+  EXPECT_TRUE(committed.ok());
+  const WalStats stats = wal.wal_stats();
+  EXPECT_EQ(stats.commits, 2u);
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(stats.batched_commits, 1u);
+}
+
+// Two writers into one dataset: each auto-commit op joins the window, so a
+// commit made while another op is in flight shares that op's sync. The test
+// holds one seat in the window until both writers wait in their first
+// commit, so at least those two commits share one sync on any host — on a
+// single CPU ops overlap only where the scheduler preempts one mid-op.
+TEST(GroupCommitWalTest, TwoWriterDatasetBatchesSyncs) {
+  Env env(TestEnv());
+  DatasetOptions o;
+  o.strategy = MaintenanceStrategy::kMutableBitmap;
+  o.build_cc = BuildCcMethod::kLock;
+  o.writer_threads = 2;
+  o.maintenance_threads = 2;
+  o.mem_budget_bytes = 64 << 10;
+  Dataset ds(&env, o);
+  ASSERT_TRUE(ds.wal()->JoinCommitWindow());
+  const uint64_t per_writer = 2000;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 2; t++) {
+    threads.emplace_back([&, t]() {
+      for (uint64_t i = 0; i < per_writer; i++) {
+        const uint64_t id = 1 + t * per_writer + i;
+        if (!ds.Upsert(MakeTweet(id, id % 40, id)).ok()) failures++;
+      }
+    });
+  }
+  AwaitCommitWaiters(*ds.wal(), 2);
+  EXPECT_EQ(ds.wal()->wal_stats().syncs, 0u);
+  ds.wal()->LeaveCommitWindow();
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(ds.WaitForMaintenance().ok());
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(ds.num_records(), 2 * per_writer);
+  const WalStats stats = ds.wal()->wal_stats();
+  EXPECT_GE(stats.commits, 2 * per_writer);
+  EXPECT_GT(stats.syncs, 0u);
+  EXPECT_LT(stats.syncs, stats.commits);
+  EXPECT_EQ(stats.batched_commits, stats.commits - stats.syncs);
+  EXPECT_EQ(ds.wal()->backlog().commit_window, 0u);
 }
 
 }  // namespace

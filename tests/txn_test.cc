@@ -117,6 +117,40 @@ TEST(LogRecordTest, DecodeDetectsCorruption) {
                   .IsCorruption());
 }
 
+// The WAL charges log pages by EncodedSize(), so it must equal the encoding's
+// length for every record type and at every varint length boundary of the
+// numeric fields and the key/value length prefixes.
+TEST(LogRecordTest, EncodedSizeMatchesEncode) {
+  const LogRecordType types[] = {
+      LogRecordType::kInsert, LogRecordType::kUpsert, LogRecordType::kDelete,
+      LogRecordType::kCommit, LogRecordType::kAbort,
+      LogRecordType::kCheckpoint};
+  const uint64_t numbers[] = {0,           1,         127,       128,
+                              16383,       16384,     (1u << 21) - 1,
+                              1u << 21,    (1u << 28) - 1,    1u << 28,
+                              ~uint64_t{0} >> 1, ~uint64_t{0}};
+  const size_t lengths[] = {0, 1, 127, 128, 560, 16383, 16384, 1u << 21};
+  for (LogRecordType type : types) {
+    for (uint64_t n : numbers) {
+      for (size_t len : lengths) {
+        LogRecord r;
+        r.type = type;
+        r.lsn = n;
+        r.txn_id = n / 3;
+        r.ts = ~n;
+        r.update_bit = (n & 1) != 0;
+        r.key = std::string(len % 300, 'k');
+        r.value = std::string(len, 'v');
+        EXPECT_EQ(r.EncodedSize(), r.Encode().size())
+            << "type=" << int(type) << " n=" << n << " len=" << len;
+        r.key.swap(r.value);
+        EXPECT_EQ(r.EncodedSize(), r.Encode().size())
+            << "type=" << int(type) << " n=" << n << " key len=" << len;
+      }
+    }
+  }
+}
+
 TEST(WalTest, AppendAssignsMonotoneLsns) {
   Wal wal;
   LogRecord r;
