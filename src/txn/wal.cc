@@ -9,13 +9,6 @@
 
 namespace auxlsm {
 
-namespace {
-
-/// Polls of the durable LSN a waiting committer makes before it blocks.
-constexpr int kCommitSpins = 256;
-
-}  // namespace
-
 void Wal::set_group_commit(bool on) {
   MutexLock l(mu_);
   group_commit_ = on;
@@ -42,10 +35,9 @@ Wal::Backlog Wal::backlog() const {
   Backlog b;
   b.commit_waiters = commit_waiters_;
   const Lsn tail = next_lsn_ - 1;
-  const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
-  b.unsynced_records = tail > durable ? tail - durable : 0;
+  b.unsynced_records = tail > durable_lsn_ ? tail - durable_lsn_ : 0;
   b.tail_bytes = bytes_since_page_;
-  b.commit_window = window_.load(std::memory_order_relaxed);
+  b.commit_window = window_;
   return b;
 }
 
@@ -75,7 +67,7 @@ Lsn Wal::Append(LogRecord record) {
 bool Wal::JoinCommitWindow() {
   MutexLock l(mu_);
   if (!group_commit_) return false;
-  window_.fetch_add(1, std::memory_order_relaxed);
+  ++window_;
   return true;
 }
 
@@ -86,9 +78,8 @@ void Wal::LeaveCommitWindow() {
 
 void Wal::LeaveLocked() {
   // The last member out lets a waiting committer sync (it re-checks the
-  // window under mu_); a spinning one sees the count drop to zero.
-  if (window_.fetch_sub(1, std::memory_order_release) == 1 &&
-      commit_waiters_ > 0) {
+  // window under mu_).
+  if (--window_ == 0 && commit_waiters_ > 0) {
     cv_.NotifyAll();
   }
 }
@@ -121,7 +112,7 @@ void Wal::SyncLocked() {
       tracer_->Record(ev);
     }
   }
-  durable_lsn_.store(next_lsn_ - 1, std::memory_order_release);
+  durable_lsn_ = next_lsn_ - 1;
   wstats_.syncs++;
   cv_.NotifyAll();
 }
@@ -131,65 +122,48 @@ Lsn Wal::AppendCommit(LogRecord record) {
 }
 
 Lsn Wal::AppendCommit(LogRecord record, bool window_member) {
-  // A waiting committer spins briefly with mu_ released before it blocks,
-  // which no scoped guard can express — explicit annotated lock()/unlock()
-  // calls keep the static analysis tracking every path.
-  mu_.lock();
-  if (fault_ != nullptr && fault_->HitParked(failpoints::kWalAppend, &io_)) {
+  obs::Histogram* hist = nullptr;
+  double latency_us = 0;
+  Lsn lsn;
+  {
+    MutexLock l(mu_);
+    if (fault_ != nullptr && fault_->HitParked(failpoints::kWalAppend, &io_)) {
+      if (window_member) LeaveLocked();
+      return kInvalidLsn;  // commit record dropped — the txn must roll back
+    }
+    lsn = AppendLocked(std::move(record));
+    wstats_.commits++;
     if (window_member) LeaveLocked();
-    mu_.unlock();
-    return kInvalidLsn;  // commit record dropped — the txn must roll back
-  }
-  const Lsn lsn = AppendLocked(std::move(record));
-  wstats_.commits++;
-  if (window_member) LeaveLocked();
-  if (!group_commit_) {
-    // Legacy serial path: identical to Append (no modeled sync).
-    durable_lsn_.store(lsn, std::memory_order_release);
-    mu_.unlock();
-    return lsn;
-  }
-  // The commit's modeled latency runs from here (log-device virtual time at
-  // append) to its batch's sync completion.
-  const double enter_us = io_.critical_path_us();
-  ++commit_waiters_;
-  bool synced = false;
-  bool spun = false;
-  while (durable_lsn_.load(std::memory_order_relaxed) < lsn) {
-    if (window_.load(std::memory_order_relaxed) == 0) {
-      // Last committer in: nothing in flight can still join this batch
-      // before its commit, so sync everything appended now.
-      SyncLocked();
-      synced = true;
-      break;
+    if (!group_commit_) {
+      // Legacy serial path: identical to Append (no modeled sync).
+      durable_lsn_ = lsn;
+      return lsn;
     }
-    if (!spun) {
-      // The members still in flight are usually a few microseconds from
-      // their own commit: spin on the durable LSN before paying for a
-      // futex sleep and wake-up.
-      spun = true;
-      mu_.unlock();
-      for (int i = 0; i < kCommitSpins; i++) {
-        if (durable_lsn_.load(std::memory_order_acquire) >= lsn ||
-            window_.load(std::memory_order_acquire) == 0) {
-          break;
-        }
+    // The commit's modeled latency runs from here (log-device virtual time
+    // at append) to its batch's sync completion.
+    const double enter_us = io_.critical_path_us();
+    ++commit_waiters_;
+    bool synced = false;
+    while (durable_lsn_ < lsn) {
+      if (window_ == 0) {
+        // Last committer in: nothing in flight can still join this batch
+        // before its commit, so sync everything appended now.
+        SyncLocked();
+        synced = true;
+        break;
       }
-      mu_.lock();
-      continue;
+      cv_.Wait(mu_);
     }
-    cv_.Wait(mu_);
+    if (!synced) wstats_.batched_commits++;
+    // Non-negative by monotonicity: the batch's sync completed after this
+    // commit's append; the clamp covers a skipped (fault-injected) sync.
+    latency_us = std::max(0.0, durable_point_us_ - enter_us);
+    wstats_.commit_latency_us_total += latency_us;
+    wstats_.commit_latency_us_max =
+        std::max(wstats_.commit_latency_us_max, latency_us);
+    --commit_waiters_;
+    hist = commit_hist_;
   }
-  if (!synced) wstats_.batched_commits++;
-  // Non-negative by monotonicity: the batch's sync completed after this
-  // commit's append; the clamp covers a skipped (fault-injected) sync.
-  const double latency_us = std::max(0.0, durable_point_us_ - enter_us);
-  wstats_.commit_latency_us_total += latency_us;
-  wstats_.commit_latency_us_max =
-      std::max(wstats_.commit_latency_us_max, latency_us);
-  --commit_waiters_;
-  obs::Histogram* hist = commit_hist_;
-  mu_.unlock();
   // Histogram recording is internally synchronized; keep it outside the
   // commit window so observability never extends it.
   if (hist != nullptr) {

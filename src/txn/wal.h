@@ -7,29 +7,31 @@
 // commit's sync is charged to the syncing committer's bound queue and syncs
 // made from different queues overlap in modeled time.
 //
-// Group commit (the multi-writer ingestion pipeline) batches by
-// construction, through a commit window: the set of in-flight auto-commit
-// ingest ops. An op joins the window once it holds its record lock
-// (JoinCommitWindow) and leaves it when its commit record is appended, or
-// when it aborts or fails (LeaveCommitWindow). A committer that finds the
-// window empty after appending charges the one modeled sync that covers
-// every record appended so far and wakes the waiters; a committer that finds
-// it occupied waits — a short spin on the durable LSN, then the condition
-// variable — until the last member in syncs for it. Window members hold
-// their only record lock and the shared ingest latch, so they never wait on
-// a waiting committer, and the window always drains. Commits that are not
-// members (explicit transactions, maintenance transactions) wait for the
-// window the same way. Every commit's modeled latency — the log device's
-// virtual time from the commit's append to its batch's sync completion — is
-// accumulated in WalStats. With group commit off (writer_threads == 1),
-// AppendCommit is exactly Append: no syncs are charged, bit-for-bit the
-// legacy serial behavior, and nothing joins the window.
+// Group commit (the multi-writer ingestion pipeline) batches through a
+// commit window: the set of in-flight auto-commit ingest ops. An op joins
+// the window once it holds its record lock (JoinCommitWindow) and leaves it
+// when its commit record is appended, or when it aborts or fails
+// (LeaveCommitWindow). A committer that finds the window empty after
+// appending charges the one modeled sync that covers every record appended
+// so far and wakes the waiters; a committer that finds it occupied waits on
+// the condition variable until the last member in syncs for it. A batch
+// therefore forms only when ops overlap in wall time: with several writers
+// on several cores it does, but on one CPU a writer rarely leaves its op
+// mid-way, the window is usually empty at commit, and each commit syncs on
+// its own. Window members hold their only record lock and the shared ingest
+// latch, so they never wait on a waiting committer, and the window always
+// drains. Commits that are not members (explicit transactions, maintenance
+// transactions) wait for the window the same way. Every commit's modeled
+// latency — the log device's virtual time from the commit's append to its
+// batch's sync completion — is accumulated in WalStats. With group commit
+// off (writer_threads == 1), AppendCommit is exactly Append: no syncs are
+// charged, bit-for-bit the legacy serial behavior, and nothing joins the
+// window.
 //
 // The log survives a simulated crash (tests drop the Dataset but keep the
 // Wal + Env), which is what recovery replays from.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <string>
 #include <vector>
@@ -175,10 +177,8 @@ class Wal {
 
   bool group_commit_ GUARDED_BY(mu_) = false;
   uint64_t commit_waiters_ GUARDED_BY(mu_) = 0;  ///< inside AppendCommit
-  /// Window members. Written under mu_; waiting committers spin on it (and
-  /// on durable_lsn_) without the lock.
-  std::atomic<uint64_t> window_{0};
-  std::atomic<Lsn> durable_lsn_{0};  ///< written under mu_
+  uint64_t window_ GUARDED_BY(mu_) = 0;  ///< commit-window members
+  Lsn durable_lsn_ GUARDED_BY(mu_) = 0;
   /// Log-device critical path as of the last completed sync; batched
   /// commits read it to compute their modeled latency.
   double durable_point_us_ GUARDED_BY(mu_) = 0;
