@@ -116,7 +116,6 @@ inline EnvOptions BenchEnv(size_t cache_mb, bool ssd = false,
   o.cache_shards = cache_shards;
   o.disk_profile = ssd ? DiskProfile::Ssd() : DiskProfile::Hdd();
   o.io_queues = io_queues;
-  o.scan_readahead_pages = 64;
   return o;
 }
 

@@ -205,7 +205,9 @@ int main(int argc, char** argv) {
   // serial engine, NVMe profile with 1 vs N queues. With N > 1, maintenance
   // tasks are bound to queues by task index and every merge of at least
   // 1 MiB reads its inputs as N key-range partitions, one per queue (see
-  // LsmTree::MergeComponents). The reported crit_s — the device's critical
+  // LsmTree::BuildMerge; the deleted-key row's secondary merges take the
+  // same path, with their obsolescence check as a per-entry hook). The
+  // reported crit_s — the device's critical
   // path — must sit strictly below the queues=1 simulated time of the same
   // workload: flushes, per-tree merges, and partition scans genuinely
   // overlap in modeled time. Both sides run one host thread, so the
@@ -213,7 +215,11 @@ int main(int argc, char** argv) {
   PrintHeader("Fig15-mq",
               "partitioned merges on NVMe, serial engine: queues=1 sim vs "
               "queues=" + std::to_string(flags.queues) + " critical path");
-  for (const auto& sc : core_cases) {
+  const StrategyCase mq_cases[] = {
+      core_cases[0], core_cases[1], core_cases[2], core_cases[3],
+      {"deleted-key B+tree", MaintenanceStrategy::kDeletedKeyBtree, false},
+  };
+  for (const auto& sc : mq_cases) {
     IngestCase mq{.num_secondary = 3, .queues = 1, .nvme = true};
     const IngestResult q1 = RunIngest(sc, mq);
     mq.queues = flags.queues;

@@ -9,14 +9,13 @@
 
 namespace auxlsm {
 
-Status RunDeletedKeyMerge(Dataset* dataset, SecondaryIndex* index,
-                          const MergeRange& range);
-
-/// Identity-based form: merges the captured secondary-index components and,
-/// in lock step, the captured companion deleted-key components (empty =
-/// companion not merged). Decoupled merge-queue jobs use this — a flush
-/// install racing the merge shifts positional ranges but not identities;
-/// ReplaceComponents fails safe if the picks are no longer current.
+/// Merges the captured secondary-index components (LsmTree::MergeComponents
+/// with a `keep` hook that drops entries superseded in the deleted-key
+/// trees) and, in lock step, the captured companion deleted-key components
+/// (empty = companion not merged). Picks are by identity, not position — a
+/// flush install racing a decoupled merge-queue job shifts positional
+/// ranges but not identities; ReplaceComponents fails safe if the picks are
+/// no longer current.
 Status RunDeletedKeyMergePicked(Dataset* dataset, SecondaryIndex* index,
                                 const std::vector<DiskComponentPtr>& picked,
                                 const std::vector<DiskComponentPtr>& dk_picked);

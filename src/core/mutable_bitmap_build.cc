@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-
-#include "btree/btree_builder.h"
-#include "common/hash.h"
+#include <optional>
 
 namespace auxlsm {
 
@@ -84,72 +82,23 @@ void ApplyDeleteToBuild(BuildLink* link, const Slice& pk, Transaction* txn) {
 
 namespace {
 
-struct DualBuilder {
-  DualBuilder(Env* env) : primary(env), pk(env) {}
-  BtreeBuilder primary;
-  BtreeBuilder pk;
-  std::vector<uint64_t> hashes;
-
-  Status Add(const Slice& key, const Slice& value, Timestamp ts,
-             bool antimatter) {
-    AUXLSM_RETURN_NOT_OK(primary.Add(key, value, ts, antimatter));
-    AUXLSM_RETURN_NOT_OK(pk.Add(key, Slice(), ts, antimatter));
-    hashes.push_back(Hash64(key));
-    return Status::OK();
-  }
-};
-
-// Installs the finished primary/pk component pair, replacing the old ones.
+// Installs the finished pair. The primary and pk-index components share one
+// validity bitmap (§5.1), seeded with the deletes applied to the first
+// `emitted` positions of the new component during the build (`overlay`,
+// null for the uncoordinated baseline).
 Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
                    const std::vector<DiskComponentPtr>& old_k,
-                   DualBuilder* dual, ComponentId id, Timestamp repaired,
-                   const Bitmap& overlay, uint64_t emitted,
-                   uint64_t* output_entries) {
-  BtreeMeta pmeta, kmeta;
-  AUXLSM_RETURN_NOT_OK(dual->primary.Finish(&pmeta));
-  AUXLSM_RETURN_NOT_OK(dual->pk.Finish(&kmeta));
-  *output_entries = pmeta.num_entries;
-
-  auto pcomp = std::make_shared<DiskComponent>(id, ds->env(), pmeta);
-  auto kcomp = std::make_shared<DiskComponent>(id, ds->env(), kmeta);
-  const double fpr = ds->options().bloom_fpr;
-  pcomp->set_bloom(std::make_unique<BloomFilter>(dual->hashes, fpr));
-  kcomp->set_bloom(std::make_unique<BloomFilter>(dual->hashes, fpr));
-  if (ds->options().build_blocked_bloom) {
-    pcomp->set_blocked_bloom(
-        std::make_unique<BlockedBloomFilter>(dual->hashes, fpr));
-    kcomp->set_blocked_bloom(
-        std::make_unique<BlockedBloomFilter>(dual->hashes, fpr));
-  }
-  // One shared validity bitmap (§5.1), seeded with deletes that were applied
-  // to the new component during the build.
-  auto bitmap = std::make_shared<Bitmap>(pmeta.num_entries);
-  for (uint64_t i = 0; i < emitted && i < pmeta.num_entries; i++) {
-    if (overlay.Test(i)) bitmap->Set(i);
+                   const DiskComponentPtr& pcomp, const DiskComponentPtr& kcomp,
+                   const Bitmap* overlay, uint64_t emitted) {
+  auto bitmap = std::make_shared<Bitmap>(pcomp->num_entries());
+  for (uint64_t i = 0; i < emitted && i < pcomp->num_entries(); i++) {
+    if (overlay->Test(i)) bitmap->Set(i);
   }
   pcomp->set_bitmap(bitmap);
-  kcomp->set_bitmap(bitmap);
-  pcomp->set_repaired_ts(repaired);
-  kcomp->set_repaired_ts(repaired);
-  // Recovery replays from the max component LSN; the merged pair must keep
-  // carrying the newest LSN of its inputs (see LsmTree::MergeComponents).
-  Lsn max_lsn = kInvalidLsn;
-  for (const auto& c : old_p) max_lsn = std::max(max_lsn, c->max_lsn());
-  pcomp->set_max_lsn(max_lsn);
-  kcomp->set_max_lsn(max_lsn);
-  // Merged range filter: union of inputs (conservative).
-  RangeFilter f;
-  for (const auto& c : old_p) {
-    if (c->range_filter().has_value()) f.Merge(*c->range_filter());
-  }
-  pcomp->set_range_filter(f);
-
   AUXLSM_RETURN_NOT_OK(ds->primary()->ReplaceComponents(old_p, pcomp));
-  if (ds->primary_key_index() != nullptr) {
-    AUXLSM_RETURN_NOT_OK(
-        ds->primary_key_index()->ReplaceComponents(old_k, kcomp));
-  }
-  return Status::OK();
+  if (kcomp == nullptr) return Status::OK();
+  kcomp->set_bitmap(bitmap);
+  return ds->primary_key_index()->ReplaceComponents(old_k, kcomp);
 }
 
 // Unpublishes a build on ANY exit after the link went live. A §5.3 build
@@ -251,175 +200,132 @@ Status ConcurrentMergePicked(Dataset* ds,
   uint64_t capacity = 0;
   for (const auto& c : old_p) capacity += c->num_entries();
   stats->input_entries = capacity;
-  const ComponentId id{old_p.back()->id().min_ts, old_p.front()->id().max_ts};
-  Timestamp repaired = old_p.front()->repaired_ts();
-  for (const auto& c : old_p) repaired = std::min(repaired, c->repaired_ts());
-  // Anti-matter may be dropped only when the merge reaches the tree's oldest
-  // component; checking against the live list is stable under concurrent
-  // flush installs (they only prepend at the newest end).
-  const bool drop_antimatter = ds->primary()->IsOldestComponent(old_p.back());
 
-  DualBuilder dual(ds->env());
-
-  if (method == BuildCcMethod::kNone) {
-    // Baseline: plain merge with live bitmaps, no writer coordination.
-    MergeCursor::Options mo;
-    mo.respect_bitmaps = true;
-    mo.drop_antimatter = drop_antimatter;
-    mo.fill_cache = false;  // the merge retires its inputs
-    MergeCursor cursor(old_p, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    Bitmap empty_overlay(0);
-    uint64_t emitted = 0;
-    while (cursor.Valid()) {
-      AUXLSM_RETURN_NOT_OK(
-          dual.Add(cursor.key(), cursor.value(), cursor.ts(),
-                   cursor.antimatter()));
-      emitted++;
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
-    }
-    AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
-      return InstallPair(ds, old_p, old_k, &dual, id, repaired, empty_overlay,
-                         0, &stats->output_entries);
-    }));
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return Status::OK();
+  // The merge is the primary tree's build half (LsmTree::BuildMerge); the
+  // method decides its hooks. on_emit pushes each emitted entry into the
+  // pk-index half of the pair right after the primary Add and, under Lock
+  // and Side-file, appends its key to the emitted prefix writers search.
+  LsmTree* const pk_tree = ds->primary_key_index();
+  std::optional<LsmTree::ComponentBuilder> pk_builder;
+  if (pk_tree != nullptr) pk_builder.emplace(pk_tree);
+  std::shared_ptr<BuildLink> link;
+  if (method != BuildCcMethod::kNone) {
+    link = std::make_shared<BuildLink>(method, capacity);
   }
-
-  auto link = std::make_shared<BuildLink>(method, capacity);
   BuildLinkGuard guard(ds, dataset_latched, old_p, old_k);
-  FaultInjector* fault = ds->options().fault_injector;
-
-  if (method == BuildCcMethod::kLock) {
-    // Fig 10a: make the new component visible, then scan with per-key shared
-    // locks, re-checking validity under the lock.
+  auto publish_link = [&]() {
     for (const auto& c : old_p) c->set_build_link(link);
     for (const auto& c : old_k) c->set_build_link(link);
     guard.Arm(link);
-    if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(
-          fault->Hit(failpoints::kConcurrentBuild, ds->env()->io()));
-    }
-
-    MergeCursor::Options mo;
-    mo.respect_bitmaps = false;  // validity re-checked under the lock
-    mo.drop_antimatter = drop_antimatter;
-    mo.fill_cache = false;  // the merge retires its inputs
-    MergeCursor cursor(old_p, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    // Read-only: the builder takes per-key shared locks but never touches a
-    // memtable, so it must not count toward the no-steal seal deferral — a
-    // long decoupled merge would otherwise block every flush cycle for its
-    // whole scan.
-    auto builder_txn = ds->BeginReadOnly();
-    while (cursor.Valid()) {
-      {
-        ScopedLock sl(ds->locks(), builder_txn->id(), cursor.key(),
-                      LockMode::kShared);
-        stats->builder_lock_acquisitions++;
-        const auto& src = old_p[cursor.source()];
-        const bool still_valid =
-            src->bitmap() == nullptr ||
-            !src->bitmap()->Test(cursor.source_ordinal());
-        if (still_valid) {
-          AUXLSM_RETURN_NOT_OK(dual.Add(cursor.key(), cursor.value(),
-                                        cursor.ts(), cursor.antimatter()));
-          link->emitted_keys.push_back(cursor.key().ToString());
-          link->emitted_count.store(link->emitted_keys.size(),
-                                    std::memory_order_release);
-        }
-      }
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
-    }
-    AUXLSM_RETURN_NOT_OK(builder_txn->Commit());
-
-    // Drain in-flight writers, install, unlink.
-    AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
-      const uint64_t emitted =
-          link->emitted_count.load(std::memory_order_acquire);
-      AUXLSM_RETURN_NOT_OK(InstallPair(ds, old_p, old_k, &dual, id, repaired,
-                                       link->overlay, emitted,
-                                       &stats->output_entries));
-      for (const auto& c : old_p) c->set_build_link(nullptr);
-      for (const auto& c : old_k) c->set_build_link(nullptr);
-      guard.Disarm();
-      return Status::OK();
-    }));
-  } else {
-    // Side-file method, Fig 11a.
-    std::vector<std::shared_ptr<Bitmap>> snapshots;
-    // Initialization phase: drain ongoing operations, snapshot bitmaps,
-    // publish the link.
+  };
+  MergeHooks hooks;
+  if (method == BuildCcMethod::kLock) {
+    // Fig 10a: make the new component visible, then scan with per-key shared
+    // locks (taken below), re-checking validity under the lock.
+    publish_link();
+    hooks.respect_bitmaps = false;
+  } else if (method == BuildCcMethod::kSideFile) {
+    // Fig 11a initialization: drain ongoing operations, snapshot bitmaps,
+    // publish the link. The build then scans against the snapshots with no
+    // per-key locks.
     with_writers_drained([&]() {
       for (const auto& c : old_p) {
-        snapshots.push_back(
+        hooks.bitmap_overrides.push_back(
             c->bitmap() == nullptr
                 ? nullptr
                 : std::make_shared<Bitmap>(Bitmap::SnapshotOf(*c->bitmap())));
       }
-      for (const auto& c : old_p) c->set_build_link(link);
-      for (const auto& c : old_k) c->set_build_link(link);
-      guard.Arm(link);
+      publish_link();
     });
-    if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(
-          fault->Hit(failpoints::kConcurrentBuild, ds->env()->io()));
-    }
+  }
+  // kNone, the Fig 23 baseline: live bitmaps, no writer coordination.
+  FaultInjector* fault = ds->options().fault_injector;
+  if (link != nullptr && fault != nullptr) {
+    AUXLSM_RETURN_NOT_OK(
+        fault->Hit(failpoints::kConcurrentBuild, ds->env()->io()));
+  }
 
-    // Build phase: scan against the snapshots; no per-key locks.
-    MergeCursor::Options mo;
-    mo.respect_bitmaps = true;
-    mo.bitmap_overrides = snapshots;
-    mo.drop_antimatter = drop_antimatter;
-    mo.fill_cache = false;  // the merge retires its inputs
-    MergeCursor cursor(old_p, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    while (cursor.Valid()) {
-      AUXLSM_RETURN_NOT_OK(dual.Add(cursor.key(), cursor.value(), cursor.ts(),
-                                    cursor.antimatter()));
+  // Read-only: the Lock builder takes per-key shared locks but never touches
+  // a memtable, so it must not count toward the no-steal seal deferral — a
+  // long decoupled merge would otherwise block every flush cycle for its
+  // whole scan. A key's lock is held from `keep` through `on_emit`.
+  std::unique_ptr<Transaction> builder_txn;
+  std::optional<ScopedLock> key_lock;
+  if (method == BuildCcMethod::kLock) {
+    builder_txn = ds->BeginReadOnly();
+    hooks.keep = [&](const MergeCursor& cursor) -> Result<bool> {
+      key_lock.emplace(ds->locks(), builder_txn->id(), cursor.key(),
+                       LockMode::kShared);
+      stats->builder_lock_acquisitions++;
+      const auto& src = old_p[cursor.source()];
+      const bool still_valid = src->bitmap() == nullptr ||
+                               !src->bitmap()->Test(cursor.source_ordinal());
+      if (!still_valid) key_lock.reset();
+      return still_valid;
+    };
+  }
+  hooks.on_emit = [&](const MergeCursor& cursor, uint64_t) -> Status {
+    if (pk_builder) {
+      AUXLSM_RETURN_NOT_OK(pk_builder->Add(cursor.key(), Slice(), cursor.ts(),
+                                           cursor.antimatter()));
+    }
+    if (link != nullptr) {
       link->emitted_keys.push_back(cursor.key().ToString());
       link->emitted_count.store(link->emitted_keys.size(),
                                 std::memory_order_release);
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
     }
+    key_lock.reset();
+    return Status::OK();
+  };
 
-    // Catch-up phase: close the side-file under the dataset latch, sort it,
-    // apply, install. The side-file mutex stays held across the sort/apply —
-    // writers are drained so it is uncontended; holding it just satisfies the
-    // guarded-field discipline without a behavior change.
-    AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
-      size_t emitted = 0;
-      {
-        MutexLock l(link->mu);
-        link->side_file_closed = true;
-        // Stable sort keeps the delete/rollback order per key.
-        std::stable_sort(link->side_file.begin(), link->side_file.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first < b.first;
-                         });
-        emitted = link->emitted_count.load(std::memory_order_acquire);
-        for (const auto& [key, is_rollback] : link->side_file) {
-          uint64_t pos = 0;
-          if (!FindEmitted(link.get(), emitted, key, &pos)) continue;
-          if (is_rollback) {
-            link->overlay.Unset(pos);
-          } else {
-            link->overlay.Set(pos);
-            stats->side_file_applied++;
-          }
+  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr pcomp,
+                          ds->primary()->BuildMerge(old_p, hooks));
+  if (builder_txn != nullptr) AUXLSM_RETURN_NOT_OK(builder_txn->Commit());
+  stats->output_entries = pcomp->num_entries();
+  DiskComponentPtr kcomp;
+  if (pk_builder) {
+    AUXLSM_ASSIGN_OR_RETURN(kcomp, pk_builder->Finish(pcomp->id()));
+    // The pair carries one set of merge metadata: the primary's.
+    kcomp->set_repaired_ts(pcomp->repaired_ts());
+    kcomp->set_max_lsn(pcomp->max_lsn());
+  }
+
+  // Drain in-flight writers, catch up (Side-file), install, unlink. The
+  // side-file mutex stays held across the sort/apply — writers are drained
+  // so it is uncontended; holding it just satisfies the guarded-field
+  // discipline without a behavior change.
+  AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
+    const size_t emitted =
+        link != nullptr ? link->emitted_count.load(std::memory_order_acquire)
+                        : 0;
+    if (method == BuildCcMethod::kSideFile) {
+      // Fig 11a catch-up: close the side-file, sort it (stably, keeping the
+      // delete/rollback order per key) and apply it.
+      MutexLock l(link->mu);
+      link->side_file_closed = true;
+      std::stable_sort(link->side_file.begin(), link->side_file.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      for (const auto& [key, is_rollback] : link->side_file) {
+        uint64_t pos = 0;
+        if (!FindEmitted(link.get(), emitted, key, &pos)) continue;
+        if (is_rollback) {
+          link->overlay.Unset(pos);
+        } else {
+          link->overlay.Set(pos);
+          stats->side_file_applied++;
         }
       }
-      AUXLSM_RETURN_NOT_OK(InstallPair(ds, old_p, old_k, &dual, id, repaired,
-                                       link->overlay, emitted,
-                                       &stats->output_entries));
-      for (const auto& c : old_p) c->set_build_link(nullptr);
-      for (const auto& c : old_k) c->set_build_link(nullptr);
-      guard.Disarm();
-      return Status::OK();
-    }));
-  }
+    }
+    AUXLSM_RETURN_NOT_OK(InstallPair(ds, old_p, old_k, pcomp, kcomp,
+                                     link != nullptr ? &link->overlay : nullptr,
+                                     emitted));
+    for (const auto& c : old_p) c->set_build_link(nullptr);
+    for (const auto& c : old_k) c->set_build_link(nullptr);
+    guard.Disarm();
+    return Status::OK();
+  }));
 
   stats->elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -25,7 +25,6 @@ struct EnvOptions {
   /// page faults behind one mutex. 1 = the single global LRU, bit-for-bit
   /// the legacy behavior — deterministic-I/O benches and tests pin this.
   size_t cache_shards = 0;
-  uint32_t scan_readahead_pages = 32;///< read-ahead used by range scans
   /// Legacy single-head cost parameters; the device defaults to one queue of
   /// this profile, which reproduces the old DiskModel charging bit-for-bit.
   DiskProfile disk_profile = DiskProfile::Hdd();
@@ -73,7 +72,6 @@ class Env {
   BufferCache* cache() { return &cache_; }
 
   size_t page_size() const { return store_.page_size(); }
-  uint32_t scan_readahead_pages() const { return options_.scan_readahead_pages; }
 
   IoStats stats() const { return io_.stats(); }
 

@@ -217,38 +217,36 @@ Status LsmTree::GetRaw(const Slice& key, LookupResult* out,
   return Status::OK();
 }
 
-Result<DiskComponentPtr> LsmTree::BuildComponent(
-    ComponentId id, const std::function<bool(OwnedEntry*)>& next) {
-  BtreeBuilder builder(env_);
-  std::vector<uint64_t> hashes;
-  RangeFilter filter;
-  OwnedEntry e;
-  while (next(&e)) {
-    Status st = builder.Add(e.key, e.value, e.ts, e.antimatter);
-    if (!st.ok()) return st;
-    if (options_.build_bloom || options_.build_blocked_bloom) {
-      hashes.push_back(Hash64(e.key));
-    }
-    if (options_.maintain_range_filter && options_.filter_key_extractor &&
-        !e.antimatter) {
-      filter.Expand(options_.filter_key_extractor(e.key, e.value));
-    }
-  }
-  BtreeMeta meta;
-  Status st = builder.Finish(&meta);
-  if (!st.ok()) return st;
+LsmTree::ComponentBuilder::ComponentBuilder(const LsmTree* tree)
+    : env_(tree->env_), options_(tree->options_), builder_(tree->env_) {}
 
+Status LsmTree::ComponentBuilder::Add(const Slice& key, const Slice& value,
+                                      Timestamp ts, bool antimatter) {
+  AUXLSM_RETURN_NOT_OK(builder_.Add(key, value, ts, antimatter));
+  if (options_.build_bloom || options_.build_blocked_bloom) {
+    hashes_.push_back(Hash64(key));
+  }
+  if (options_.maintain_range_filter && options_.filter_key_extractor &&
+      !antimatter) {
+    filter_.Expand(options_.filter_key_extractor(key, value));
+  }
+  return Status::OK();
+}
+
+Result<DiskComponentPtr> LsmTree::ComponentBuilder::Finish(ComponentId id) {
+  BtreeMeta meta;
+  AUXLSM_RETURN_NOT_OK(builder_.Finish(&meta));
   auto component = std::make_shared<DiskComponent>(id, env_, std::move(meta));
   if (options_.build_bloom) {
     component->set_bloom(
-        std::make_unique<BloomFilter>(hashes, options_.bloom_fpr));
+        std::make_unique<BloomFilter>(hashes_, options_.bloom_fpr));
   }
   if (options_.build_blocked_bloom) {
     component->set_blocked_bloom(
-        std::make_unique<BlockedBloomFilter>(hashes, options_.bloom_fpr));
+        std::make_unique<BlockedBloomFilter>(hashes_, options_.bloom_fpr));
   }
   if (options_.maintain_range_filter) {
-    component->set_range_filter(filter);
+    component->set_range_filter(filter_);
   }
   if (options_.attach_bitmap) {
     component->EnsureBitmap();
@@ -267,16 +265,12 @@ std::shared_ptr<Memtable> LsmTree::SealMemtable() {
 
 Result<DiskComponentPtr> LsmTree::BuildFromSealed(
     const std::shared_ptr<Memtable>& sealed) {
-  const ComponentId id{sealed->min_ts(), sealed->max_ts()};
-  auto snapshot = sealed->Snapshot();
-  size_t i = 0;
-  auto next = [&](OwnedEntry* e) {
-    if (i >= snapshot.size()) return false;
-    *e = std::move(snapshot[i++]);
-    return true;
-  };
+  ComponentBuilder builder(this);
+  for (const OwnedEntry& e : sealed->Snapshot()) {
+    AUXLSM_RETURN_NOT_OK(builder.Add(e.key, e.value, e.ts, e.antimatter));
+  }
   AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr component,
-                          BuildComponent(id, next));
+                          builder.Finish({sealed->min_ts(), sealed->max_ts()}));
   // The flushed component's range filter is the *memory component's* filter,
   // which strategies may have widened with old-record values (§3.1); the
   // entry-derived filter computed during the build can be too narrow.
@@ -377,19 +371,29 @@ bool LsmTree::IsOldestComponent(const DiskComponentPtr& c) const {
   return !components_.empty() && c == components_.back();
 }
 
-Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
+Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked,
+                                const MergeHooks& hooks) {
   if (picked.empty()) return Status::OK();
+  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, BuildMerge(picked, hooks));
+  return ReplaceComponents(picked, merged);
+}
+
+Result<DiskComponentPtr> LsmTree::BuildMerge(
+    const std::vector<DiskComponentPtr>& picked, const MergeHooks& hooks) {
+  if (picked.empty()) return Status::InvalidArgument("empty merge");
   // Anti-matter may be dropped only if the merge reaches the oldest
-  // component (no older component can hold a shadowed version).
+  // component (no older component can hold a shadowed version). Stable under
+  // concurrent flush installs: they only prepend at the newest end.
   const bool includes_oldest = IsOldestComponent(picked.back());
 
   // On a multi-queue device a large merge reads its inputs as Q key-range
   // partitions, partition i charged to device queue i % Q, so the scans
   // overlap in modeled time. The boundaries are evenly spaced leaf
   // first-keys of the largest input, which dominates the key distribution.
-  // Partitions stream in key order on this thread into the one build below,
-  // so the output is exactly the whole-range merge's and no entry is held
-  // in memory; the build's writes stay on the caller's queue binding.
+  // Partitions stream in key order on this thread into the one builder, so
+  // the output (and every hook call) follows global key order and no entry
+  // is held in memory; the build's writes and the hooks' own I/O stay on the
+  // caller's queue binding.
   IoEngine* const io = env_->io();
   const uint32_t queues = io->num_queues();
   uint64_t total_bytes = 0;
@@ -403,17 +407,17 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
     AUXLSM_RETURN_NOT_OK(
         (*largest)->tree().ApproximateSplitKeys(queues, &splits));
   }
+
+  ComponentBuilder builder(this);
+  uint64_t ordinal = 0;
   // No splits = one unbounded cursor, charged wherever the caller is bound.
   // Partition i covers [splits[i-1], splits[i]).
-  size_t part = 0;
-  auto part_queue = [&]() {
-    return splits.empty() ? -1 : int32_t(part % queues);
-  };
-  std::unique_ptr<MergeCursor> cursor;
-  auto open = [&]() -> Status {
+  for (size_t part = 0; part <= splits.size(); part++) {
+    const int32_t part_queue = splits.empty() ? -1 : int32_t(part % queues);
     MergeCursor::Options mo;
     mo.readahead_pages = options_.scan_readahead_pages;
-    mo.respect_bitmaps = true;
+    mo.respect_bitmaps = hooks.respect_bitmaps;
+    mo.bitmap_overrides = hooks.bitmap_overrides;
     mo.drop_antimatter = includes_oldest;
     mo.fill_cache = false;  // the merge retires its inputs
     if (part > 0) mo.lower_bound = splits[part - 1];
@@ -421,32 +425,30 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
       mo.upper_bound = splits[part];
       mo.upper_bound_exclusive = true;  // partition i+1 owns splits[i]
     }
-    cursor = std::make_unique<MergeCursor>(picked, mo);
-    MaybeIoQueueScope scope(io, part_queue());
-    return cursor->Init();
-  };
-  AUXLSM_RETURN_NOT_OK(open());
-
-  Status iter_status;
-  auto next = [&](OwnedEntry* e) {
-    while (!cursor->Valid()) {
-      if (part == splits.size()) return false;
-      part++;
-      iter_status = open();
-      if (!iter_status.ok()) return false;
+    MergeCursor cursor(picked, mo);
+    {
+      MaybeIoQueueScope scope(io, part_queue);
+      AUXLSM_RETURN_NOT_OK(cursor.Init());
     }
-    e->key = cursor->key().ToString();
-    e->value = cursor->value().ToString();
-    e->ts = cursor->ts();
-    e->antimatter = cursor->antimatter();
-    MaybeIoQueueScope scope(io, part_queue());
-    iter_status = cursor->Next();
-    return iter_status.ok();
-  };
-  ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
-  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, BuildComponent(id, next));
-  // A stream that stopped on an error must not install its truncated output.
-  AUXLSM_RETURN_NOT_OK(iter_status);
+    while (cursor.Valid()) {
+      bool keep = true;
+      if (hooks.keep) {
+        AUXLSM_ASSIGN_OR_RETURN(keep, hooks.keep(cursor));
+      }
+      if (keep) {
+        AUXLSM_RETURN_NOT_OK(builder.Add(cursor.key(), cursor.value(),
+                                         cursor.ts(), cursor.antimatter()));
+        if (hooks.on_emit) {
+          AUXLSM_RETURN_NOT_OK(hooks.on_emit(cursor, ordinal));
+        }
+        ordinal++;
+      }
+      MaybeIoQueueScope scope(io, part_queue);
+      AUXLSM_RETURN_NOT_OK(cursor.Next());
+    }
+  }
+  const ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
+  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, builder.Finish(id));
 
   // A merged component inherits the most conservative repair progress, and
   // the newest LSN any input carried: recovery replays the log from the
@@ -468,7 +470,7 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
   // strategy's correctness depends on the filter still covering the old
   // values those versions carry (§3.1's widening invariant). Only a full
   // merge, which physically drops every obsolete version, may tighten the
-  // filter to the surviving entries (computed during the build).
+  // filter to the surviving entries (computed by the builder).
   if (options_.maintain_range_filter &&
       !(includes_oldest && options_.filter_key_extractor)) {
     RangeFilter f;
@@ -477,8 +479,7 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
     }
     merged->set_range_filter(f);
   }
-
-  return ReplaceComponents(picked, merged);
+  return merged;
 }
 
 Status LsmTree::ReplaceComponents(

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "btree/btree_builder.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
@@ -63,6 +64,26 @@ struct LookupResult {
   uint64_t ordinal = 0;        ///< position within the disk component
 };
 
+/// Per-merge hooks of LsmTree::BuildMerge: what one merge does to each entry
+/// beyond copying it. Every hook runs on the calling thread, once per entry,
+/// in global key order across the merge's key-range partitions, so a hook
+/// sees keys ascend and may keep state between calls.
+struct MergeHooks {
+  /// The cursor's bitmap mode: skip the entries the inputs' live bitmaps
+  /// mark invalid (default); yield every entry (`respect_bitmaps = false`,
+  /// for a `keep` that re-checks validity itself); or test
+  /// `bitmap_overrides`, per-input snapshots parallel to the picked list
+  /// (null entries fall back to the live bitmap).
+  bool respect_bitmaps = true;
+  std::vector<std::shared_ptr<Bitmap>> bitmap_overrides;
+  /// Whether the cursor's current entry goes into the output; null keeps
+  /// every entry the cursor yields.
+  std::function<Result<bool>(const MergeCursor&)> keep;
+  /// Observes an entry right after it was added to the output, with its
+  /// ordinal there; the cursor is still positioned on it.
+  std::function<Status(const MergeCursor&, uint64_t ordinal)> on_emit;
+};
+
 struct GetOptions {
   bool use_blocked_bloom = false;
   /// Treat bitmap-invalid entries as absent.
@@ -75,6 +96,28 @@ struct GetOptions {
 
 class LsmTree {
  public:
+  /// Push-style builder of one disk component of a tree; flushes, merges
+  /// and the §5.3 primary + pk-index pair builds all build through it.
+  /// Entries arrive in ascending key order via Add. Finish applies the
+  /// tree's per-component rules: a Bloom and/or blocked Bloom filter over
+  /// the keys, a range filter over the non-anti-matter entries' filter keys,
+  /// and an all-valid bitmap where the tree attaches one. The tree must
+  /// outlive the builder.
+  class ComponentBuilder {
+   public:
+    explicit ComponentBuilder(const LsmTree* tree);
+    Status Add(const Slice& key, const Slice& value, Timestamp ts,
+               bool antimatter);
+    Result<DiskComponentPtr> Finish(ComponentId id);
+
+   private:
+    Env* const env_;
+    const LsmTreeOptions& options_;
+    BtreeBuilder builder_;
+    std::vector<uint64_t> hashes_;
+    RangeFilter filter_;
+  };
+
   LsmTree(Env* env, LsmTreeOptions options);
 
   Env* env() const { return env_; }
@@ -176,13 +219,26 @@ class LsmTree {
   /// the merge themselves via MergeComponents.
   bool PickMergeCandidates(std::vector<DiskComponentPtr>* picked) const;
 
-  /// Merges the given components (which must be a contiguous, current run of
-  /// the newest-first list) into one replacement component. On a device
-  /// with Q > 1 queues, a merge of at least two inputs totalling 1 MiB or
-  /// more reads its inputs as Q key-range partitions, partition i bound to
-  /// queue i % Q; the partitions stream in key order on the calling thread
-  /// into the one build, so the output equals the whole-range merge's.
-  Status MergeComponents(const std::vector<DiskComponentPtr>& picked);
+  /// The build half of a merge: reads `picked` (a contiguous, current run of
+  /// the newest-first list) through `hooks` into one new component, which
+  /// it does not install. On a device with Q > 1 queues, a merge of at
+  /// least two inputs totalling 1 MiB or more reads its inputs as Q
+  /// key-range partitions, partition i bound to queue i % Q; the partitions
+  /// stream in key order on the calling thread into the one builder, so the
+  /// output equals the whole-range merge's. Inputs are read around the
+  /// buffer cache (the merge retires them), and anti-matter is dropped only
+  /// when the merge reaches the oldest component. The output spans the
+  /// inputs' timestamps and carries their newest max_lsn, their oldest
+  /// repaired_ts, and the union of their range filters, except that a merge
+  /// reaching the oldest component keeps the filter of its own entries.
+  Result<DiskComponentPtr> BuildMerge(
+      const std::vector<DiskComponentPtr>& picked,
+      const MergeHooks& hooks = MergeHooks());
+
+  /// Builds the merge (BuildMerge), then installs it in place of `picked`
+  /// (ReplaceComponents). The one merge path of every tree.
+  Status MergeComponents(const std::vector<DiskComponentPtr>& picked,
+                         const MergeHooks& hooks = MergeHooks());
 
   /// Merges components [range.begin, range.end) of the newest-first list.
   Status MergeComponentRange(const MergeRange& range);
@@ -204,13 +260,6 @@ class LsmTree {
   /// drops.
   Status ReplaceComponents(const std::vector<DiskComponentPtr>& old_components,
                            DiskComponentPtr replacement);
-
-  /// Builds a disk component from an entry stream (shared by flush, merge,
-  /// and repair). Entries must arrive in ascending key order via `next`,
-  /// which returns false when exhausted.
-  Result<DiskComponentPtr> BuildComponent(
-      ComponentId id,
-      const std::function<bool(OwnedEntry*)>& next);
 
   uint64_t TotalDiskBytes() const;
   size_t NumDiskComponents() const;

@@ -9,13 +9,11 @@
 //
 // Cache policy (Options::fill_cache): a merge's input components are
 // retired by the merge that reads them, so their pages are dead once it
-// installs. The cursors of exactly those merges read their inputs around the
-// buffer cache (no-fill scans, BufferCache::ReadNoFill):
-//   - LsmTree::MergeComponents, one cursor per key-range partition;
-//   - the three §5.3 ConcurrentMerge builders (core/mutable_bitmap_build.cc);
-//   - the deleted-key merge (core/deleted_key.cc);
-//   - merge repair's merge (core/repair.cc).
-// Streaming them through the shared LRU would evict the hot pages first,
+// installs. Every such merge — plain, deleted-key, merge repair and the
+// three §5.3 builds — runs through the build half of
+// LsmTree::MergeComponents (LsmTree::BuildMerge, one cursor per key-range
+// partition), whose cursors read their inputs around the buffer cache
+// (no-fill scans, BufferCache::ReadNoFill). Streaming them through the shared LRU would evict the hot pages first,
 // above all the small primary-key index that every upsert's uniqueness check
 // and Mutable-bitmap probe reads. Every other cursor fills: query and scan
 // streams, num_records, and repair's primary-key index validation scan,

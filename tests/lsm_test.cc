@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/dataset.h"
+#include "core/deleted_key.h"
 #include "format/key_codec.h"
 #include "lsm/lsm_tree.h"
 
@@ -423,6 +425,111 @@ TEST(LsmTreeTest, PartitionedMergeMatchesSingleQueueMerge) {
       ComponentEntries(four->Components().front());
   EXPECT_TRUE(std::none_of(full.begin(), full.end(),
                            [](const OwnedEntry& e) { return e.antimatter; }));
+}
+
+// A dataset whose one secondary index holds three components, about 1.5 MiB
+// in all; each round re-writes a fifth of the earlier records under another
+// user, so a merge has obsolete entries to drop (deleted-key) or to bitmap
+// (merge repair). No policy merge runs: the test merges by hand.
+std::unique_ptr<Dataset> LoadSecondaryComponents(Env* env,
+                                                 MaintenanceStrategy strategy) {
+  DatasetOptions o;
+  o.strategy = strategy;
+  o.merge_repair = strategy == MaintenanceStrategy::kValidation;
+  o.mem_budget_bytes = 1 << 30;
+  o.max_mergeable_bytes = 1;
+  o.maintenance_threads = 1;
+  auto ds = std::make_unique<Dataset>(env, o);
+  const uint64_t per_round = 24000;
+  for (uint64_t round = 0; round < 3; round++) {
+    for (uint64_t i = 0; i < per_round; i++) {
+      const uint64_t id = round * per_round + i;
+      TweetRecord r;
+      r.id = id;
+      r.user_id = id % 997;
+      r.creation_time = id;
+      EXPECT_TRUE(ds->Upsert(r).ok());
+    }
+    for (uint64_t id = 0; id < round * per_round; id += 5) {
+      TweetRecord r;
+      r.id = id;
+      r.user_id = 1000 + round;
+      r.creation_time = id;
+      EXPECT_TRUE(ds->Upsert(r).ok());
+    }
+    EXPECT_TRUE(ds->FlushAll().ok());
+  }
+  return ds;
+}
+
+TEST(LsmTreeTest, PartitionedHookedMergesMatchSingleQueueMerge) {
+  // The deleted-key merge (a keep hook) and merge repair (an on_emit hook)
+  // of the same secondary components on a 1-queue and a 4-queue device. The
+  // 4-queue merges must read as key-range partitions and still build what
+  // the 1-queue merges build: the same entries, validity and metadata.
+  for (const MaintenanceStrategy strategy :
+       {MaintenanceStrategy::kDeletedKeyBtree,
+        MaintenanceStrategy::kValidation}) {
+    SCOPED_TRACE(strategy == MaintenanceStrategy::kDeletedKeyBtree
+                     ? "deleted-key"
+                     : "merge repair");
+    EnvOptions eo = TestEnv();
+    eo.page_size = 4096;
+    Env env_one(eo);
+    eo.io_queues = 4;
+    Env env_four(eo);
+    auto one = LoadSecondaryComponents(&env_one, strategy);
+    auto four = LoadSecondaryComponents(&env_four, strategy);
+    LsmTree* const four_tree = four->secondary(0)->tree.get();
+    ASSERT_EQ(four_tree->NumDiskComponents(), 3u);
+    ASSERT_GE(four_tree->TotalDiskBytes(), 1u << 20);
+
+    auto merge = [strategy](Dataset* ds) {
+      SecondaryIndex* s = ds->secondary(0);
+      const auto picked = s->tree->Components();
+      if (strategy == MaintenanceStrategy::kDeletedKeyBtree) {
+        return RunDeletedKeyMergePicked(ds, s, picked,
+                                        s->deleted_keys->Components());
+      }
+      return RunMergeRepair(ds, s, picked);
+    };
+    std::vector<uint64_t> reads_before;
+    for (uint32_t q = 0; q < 4; q++) {
+      reads_before.push_back(env_four.io()->queue_stats(q).pages_read);
+    }
+    ASSERT_TRUE(merge(one.get()).ok());
+    ASSERT_TRUE(merge(four.get()).ok());
+    size_t queues_read = 0;
+    for (uint32_t q = 0; q < 4; q++) {
+      if (env_four.io()->queue_stats(q).pages_read > reads_before[q]) {
+        queues_read++;
+      }
+    }
+    EXPECT_GE(queues_read, 2u) << "the merge was not partitioned";
+
+    ASSERT_EQ(four_tree->NumDiskComponents(), 1u);
+    const DiskComponentPtr a = one->secondary(0)->tree->Components().front();
+    const DiskComponentPtr b = four_tree->Components().front();
+    EXPECT_EQ(b->repaired_ts(), a->repaired_ts());
+    EXPECT_EQ(b->max_lsn(), a->max_lsn());
+    const std::vector<OwnedEntry> ea = ComponentEntries(a);
+    const std::vector<OwnedEntry> eb = ComponentEntries(b);
+    ASSERT_EQ(eb.size(), ea.size());
+    uint64_t invalid = 0;
+    for (size_t i = 0; i < ea.size(); i++) {
+      EXPECT_EQ(eb[i].key, ea[i].key);
+      EXPECT_EQ(eb[i].ts, ea[i].ts);
+      EXPECT_EQ(eb[i].antimatter, ea[i].antimatter);
+      EXPECT_EQ(b->EntryValid(i), a->EntryValid(i));
+      if (!a->EntryValid(i)) invalid++;
+    }
+    if (strategy == MaintenanceStrategy::kDeletedKeyBtree) {
+      // Every re-written record's old entry was dropped: 72,000 records.
+      EXPECT_EQ(ea.size(), 3 * 24000u);
+    } else {
+      EXPECT_GT(invalid, 0u);
+    }
+  }
 }
 
 TEST(LsmTreeTest, RetiredComponentFilesDeleted) {

@@ -1,12 +1,14 @@
 // Index repair tests (§4.4 / §6.5): merge repair, standalone repair, the
-#include "core/deleted_key.h"
 // repairedTS pruning bookkeeping, the Bloom-filter optimization, DELI-style
-// primary repair, and deleted-key merges.
+// primary repair, deleted-key merges, and the metadata every
+// input-retiring merge kind gives its output.
+#include "core/deleted_key.h"
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/dataset.h"
+#include "core/mutable_bitmap_build.h"
 #include "format/key_codec.h"
 
 namespace auxlsm {
@@ -265,8 +267,10 @@ TEST(DeletedKeyTest, MergeDropsEntriesInvalidatedByDeletedKeys) {
   }
   ASSERT_TRUE(ds.FlushAll().ok());
   // Force a deleted-key-validating merge of both secondary components.
-  ASSERT_TRUE(
-      RunDeletedKeyMerge(&ds, ds.secondary(0), MergeRange{0, 2}).ok());
+  SecondaryIndex* s = ds.secondary(0);
+  ASSERT_TRUE(RunDeletedKeyMergePicked(&ds, s, s->tree->Components(),
+                                       s->deleted_keys->Components())
+                  .ok());
   EXPECT_EQ(ds.secondary(0)->tree->NumDiskComponents(), 1u);
   // 25 old entries invalidated; 25 + 50 remain... the 25 updated entries'
   // old versions are dropped: 50 originals - 25 dropped + 25 new = 50.
@@ -277,6 +281,106 @@ TEST(DeletedKeyTest, MergeDropsEntriesInvalidatedByDeletedKeys) {
   ASSERT_TRUE(ds.QueryUserRange(1, 1, q, &res).ok());
   EXPECT_EQ(res.records.size(), 25u);
 }
+
+// Every merge that retires its inputs: a plain LsmTree merge, the
+// deleted-key merge, merge repair, and the three §5.3 builds.
+enum class MergeKind { kPlain, kDeletedKey, kMergeRepair, kNone, kLock,
+                       kSideFile };
+
+class MergeMetadataTest : public ::testing::TestWithParam<MergeKind> {};
+
+TEST_P(MergeMetadataTest, OutputInheritsInputLsnAndRepairProgress) {
+  // Recovery replays the log from the maximum component LSN, so a merge
+  // output must carry the newest max_lsn of its inputs; it must also start
+  // from their oldest repair progress (merge repair then advances it).
+  const MergeKind kind = GetParam();
+  const bool section_5_3 = kind == MergeKind::kNone ||
+                           kind == MergeKind::kLock ||
+                           kind == MergeKind::kSideFile;
+  Env env(TestEnv());
+  DatasetOptions o;
+  o.strategy = kind == MergeKind::kDeletedKey
+                   ? MaintenanceStrategy::kDeletedKeyBtree
+                   : section_5_3 ? MaintenanceStrategy::kMutableBitmap
+                                 : MaintenanceStrategy::kValidation;
+  o.mem_budget_bytes = 1 << 30;
+  o.max_mergeable_bytes = 1;  // no policy merges
+  o.maintenance_threads = 1;
+  Dataset ds(&env, o);
+  for (uint64_t i = 1; i <= 60; i++) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(i, 1, i)).ok());
+  }
+  ASSERT_TRUE(ds.FlushAll().ok());
+  for (uint64_t i = 1; i <= 60; i += 3) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(i, 2, 100 + i)).ok());
+  }
+  ASSERT_TRUE(ds.FlushAll().ok());
+
+  SecondaryIndex* s = ds.secondary(0);
+  LsmTree* tree = section_5_3 ? ds.primary() : s->tree.get();
+  const std::vector<DiskComponentPtr> picked = tree->Components();
+  ASSERT_EQ(picked.size(), 2u);
+  // Neither bound sits on the newest input.
+  picked[0]->set_max_lsn(40);
+  picked[0]->set_repaired_ts(7);
+  picked[1]->set_max_lsn(50);
+  picked[1]->set_repaired_ts(3);
+
+  ConcurrentMergeStats stats;
+  switch (kind) {
+    case MergeKind::kPlain:
+      ASSERT_TRUE(tree->MergeComponents(picked).ok());
+      break;
+    case MergeKind::kDeletedKey:
+      ASSERT_TRUE(RunDeletedKeyMergePicked(&ds, s, picked,
+                                           s->deleted_keys->Components())
+                      .ok());
+      break;
+    case MergeKind::kMergeRepair:
+      ASSERT_TRUE(RunMergeRepair(&ds, s, picked).ok());
+      break;
+    case MergeKind::kNone:
+      ASSERT_TRUE(
+          ConcurrentMerge(&ds, 0, 2, BuildCcMethod::kNone, &stats).ok());
+      break;
+    case MergeKind::kLock:
+      ASSERT_TRUE(
+          ConcurrentMerge(&ds, 0, 2, BuildCcMethod::kLock, &stats).ok());
+      break;
+    case MergeKind::kSideFile:
+      ASSERT_TRUE(
+          ConcurrentMerge(&ds, 0, 2, BuildCcMethod::kSideFile, &stats).ok());
+      break;
+  }
+  std::vector<DiskComponentPtr> outputs = {tree->Components().front()};
+  if (section_5_3) {
+    outputs.push_back(ds.primary_key_index()->Components().front());
+  }
+  ASSERT_EQ(tree->NumDiskComponents(), 1u);
+  for (const DiskComponentPtr& out : outputs) {
+    EXPECT_EQ(out->max_lsn(), 50u);
+    if (kind != MergeKind::kMergeRepair) {
+      EXPECT_EQ(out->repaired_ts(), 3u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, MergeMetadataTest,
+    ::testing::Values(MergeKind::kPlain, MergeKind::kDeletedKey,
+                      MergeKind::kMergeRepair, MergeKind::kNone,
+                      MergeKind::kLock, MergeKind::kSideFile),
+    [](const auto& info) {
+      switch (info.param) {
+        case MergeKind::kPlain: return "plain";
+        case MergeKind::kDeletedKey: return "deleted_key";
+        case MergeKind::kMergeRepair: return "merge_repair";
+        case MergeKind::kNone: return "cc_none";
+        case MergeKind::kLock: return "cc_lock";
+        case MergeKind::kSideFile: return "cc_sidefile";
+      }
+      return "?";
+    });
 
 }  // namespace
 }  // namespace auxlsm
