@@ -13,9 +13,6 @@ constexpr uint64_t kRecords = 30000;
 void Run(double fpr) {
   Env env(BenchEnv(/*cache_mb=*/4));
   DatasetOptions o;
-  // Paper figures reproduce the serial engine; pin the maintenance path
-  // so modeled I/O stays deterministic on multi-core hosts.
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.bloom_fpr = fpr;
   o.mem_budget_bytes = 512 << 10;

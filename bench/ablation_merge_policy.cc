@@ -19,9 +19,6 @@ struct Outcome {
 Outcome Run(std::shared_ptr<MergePolicy> policy, const char* /*name*/) {
   Env env(BenchEnv(/*cache_mb=*/4));
   DatasetOptions o;
-  // Paper figures reproduce the serial engine; pin the maintenance path
-  // so modeled I/O stays deterministic on multi-core hosts.
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 512 << 10;
   // Freeze the dataset's built-in tiering policy (every flushed component

@@ -103,8 +103,8 @@ inline void PrintNote(const std::string& note) {
 
 /// Common scaled-down environment: 4 KiB pages, HDD cost model. Cache sized
 /// by the caller to mimic the paper's cache:data ratios. cache_shards > 1
-/// lock-stripes the buffer cache for runs with a parallel maintenance
-/// engine (serial runs keep 1 to stay bit-for-bit comparable). io_queues > 1
+/// lock-stripes the buffer cache for multi-writer runs (serial runs keep 1
+/// to stay bit-for-bit comparable). io_queues > 1
 /// models a multi-queue device (io/io_engine.h): maintenance spread over
 /// queues overlaps in *simulated* time; 1 is the legacy single head.
 inline EnvOptions BenchEnv(size_t cache_mb, bool ssd = false,
@@ -247,8 +247,8 @@ inline bool WriteChromeTrace(obs::Tracer* tracer, const std::string& path) {
 }
 
 /// Deterministic modeled-I/O digest line for the CI smoke job: covers only
-/// serial-path sections (maintenance_threads=1, writers=1, queues=1), whose
-/// simulated costs are bit-for-bit reproducible. The job diffs these lines
+/// serial-path sections (writers=1, queues=1), whose simulated costs are
+/// bit-for-bit reproducible. The job diffs these lines
 /// across --queues=1 and --queues=4 runs; any difference means the
 /// multi-queue engine perturbed the legacy serial accounting. `extra`
 /// appends further `key=value` fields.
@@ -304,9 +304,6 @@ inline QueryFixture BuildQueryFixture(MaintenanceStrategy strategy,
   o.tuple_cache_bytes = tuple_cache_bytes;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 4 << 20;
-  // Paper figures reproduce the serial engine; pin the maintenance path so
-  // modeled I/O stays deterministic on multi-core hosts.
-  o.maintenance_threads = 1;
   f.ds = std::make_unique<Dataset>(f.env.get(), o);
   TweetGenOptions go;
   if (record_bytes > 0) {

@@ -34,9 +34,6 @@ Fixture BuildDataset(bool sequential_ids, uint32_t io_queues = 1,
   f.env = std::make_unique<Env>(eo);
   DatasetOptions o;
   o.metrics = g_metrics;
-  // Paper figures reproduce the serial engine; pin the maintenance path
-  // so modeled I/O stays deterministic on multi-core hosts.
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 4 << 20;  // keep ~10-20 components, as in §6.2

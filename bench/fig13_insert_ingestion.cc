@@ -4,21 +4,15 @@
 // number of operations and report total modeled time and throughput — the
 // comparison (pk-idx vs no-pk-idx, dup ratios) carries over directly.
 //
-// A final section compares the serial maintenance path against the
-// concurrent maintenance engine. Since PR 3, modeled disk time is charged by
-// the multi-queue IoEngine (src/io/): on a single-queue (legacy) device the
-// engine's threads shorten `wall_s`, but their interleaved I/O shares one
-// head, so modeled time does not drop and can grow. On a multi-queue device
-// profile the serial engine's maintenance tasks are bound to independent
-// device queues and `crit_s` — the device's critical path, max over queue
-// clocks — drops below the single-queue simulated time as flushes genuinely
-// overlap. The paper series above always run queues=1, which is bit-for-bit
-// the old single-head DiskModel.
+// Since PR 3, modeled disk time is charged by the multi-queue IoEngine
+// (src/io/). On a multi-queue device profile the maintenance engine's tasks
+// are bound to independent device queues and `crit_s` — the device's
+// critical path, max over queue clocks — drops below the single-queue
+// simulated time as flushes overlap (the Fig13-mq section). The paper series
+// always run queues=1, which is bit-for-bit the old single-head DiskModel.
 //
 // Flags: --tiny (CI smoke sizes), --queues=N (device queues of the
 // multi-queue section; the paper series stay at 1).
-#include <thread>
-
 #include "bench_util.h"
 
 namespace auxlsm {
@@ -40,12 +34,11 @@ struct CaseResult {
   double crit_s = 0;
 };
 
-CaseResult RunCase(bool ssd, bool pk_index, double dup_ratio, size_t threads,
-                   uint32_t queues, bool print = true) {
+CaseResult RunCase(bool ssd, bool pk_index, double dup_ratio, uint32_t queues,
+                   bool print = true) {
   // Cache deliberately small relative to the primary index so uniqueness
   // checks against full records miss, while the small pk index stays cached.
-  EnvOptions eo = BenchEnv(/*cache_mb=*/4, ssd,
-                           /*cache_shards=*/threads > 1 ? 8 : 1, queues);
+  EnvOptions eo = BenchEnv(/*cache_mb=*/4, ssd, /*cache_shards=*/1, queues);
   eo.metrics = g_metrics;
   Env env(eo);
   DatasetOptions o;
@@ -53,7 +46,6 @@ CaseResult RunCase(bool ssd, bool pk_index, double dup_ratio, size_t threads,
   o.enable_primary_key_index = pk_index;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 8 << 20;
-  o.maintenance_threads = threads;
   o.metrics = g_metrics;
   Dataset ds(&env, o);
   TweetGenerator gen;
@@ -82,7 +74,7 @@ CaseResult RunCase(bool ssd, bool pk_index, double dup_ratio, size_t threads,
 /// Per-op modeled ingest latency on the serial path: most inserts cost a
 /// memtable put plus the uniqueness check, while budget-triggered ops pay
 /// the whole inline flush (+ merges) — the stall spikes the decoupled
-/// pipeline (Fig 23f) exists to bound. Deterministic (writers=1, mt=1,
+/// pipeline (Fig 23f) exists to bound. Deterministic (writers=1,
 /// queues=1), so the tiny run's DIGEST lines are CI parity anchors.
 LatencyPercentiles RunLatencyCase(bool pk_index, uint64_t ops) {
   EnvOptions eo = BenchEnv(/*cache_mb=*/4);
@@ -93,7 +85,6 @@ LatencyPercentiles RunLatencyCase(bool pk_index, uint64_t ops) {
   o.enable_primary_key_index = pk_index;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 8 << 20;
-  o.maintenance_threads = 1;
   o.metrics = g_metrics;
   Dataset ds(&env, o);
   TweetGenerator gen;
@@ -127,7 +118,6 @@ void RunFaultCase(double rate, uint64_t ops) {
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 8 << 20;
-  o.maintenance_threads = 1;
   o.fault_injector = &fault;
   o.maintenance_retry_limit = 8;
   Dataset ds(&env, o);
@@ -178,8 +168,8 @@ int main(int argc, char** argv) {
   PrintNote("40K inserts; uniqueness check via pk index vs primary index");
   for (bool ssd : {false, true}) {
     for (double dup : {0.0, 0.5}) {
-      const CaseResult a = RunCase(ssd, /*pk_index=*/true, dup, 1, 1);
-      const CaseResult b = RunCase(ssd, /*pk_index=*/false, dup, 1, 1);
+      const CaseResult a = RunCase(ssd, /*pk_index=*/true, dup, 1);
+      const CaseResult b = RunCase(ssd, /*pk_index=*/false, dup, 1);
       const std::string x = std::string(ssd ? "ssd" : "hdd") + "-" +
                             std::to_string(int(dup * 100)) + "dup";
       report.AddSection("fig13-pk-" + x, g_ops, a.sim_s * 1e6, a.crit_s * 1e6);
@@ -190,24 +180,6 @@ int main(int argc, char** argv) {
         PrintDigest("fig13-nopk-" + x, b.sim_s * 1e6, b.crit_s * 1e6);
       }
     }
-  }
-
-  const size_t hw = std::max(2u, std::thread::hardware_concurrency());
-  PrintHeader("Fig13-mt", "maintenance engine: serial vs " +
-                              std::to_string(hw) + " threads");
-  PrintNote("single-queue device: threads shorten the wall component; "
-            "their I/O still shares one head");
-  for (bool ssd : {false, true}) {
-    const CaseResult serial = RunCase(ssd, true, 0.0, 1, 1, /*print=*/false);
-    const CaseResult parallel = RunCase(ssd, true, 0.0, hw, 1, /*print=*/false);
-    char extra[160];
-    std::snprintf(extra, sizeof(extra),
-                  "wall_s %.3f -> %.3f (%.2fx) total %.2f -> %.2f (%.2fx)",
-                  serial.wall_s, parallel.wall_s,
-                  serial.wall_s / parallel.wall_s, serial.total_s,
-                  parallel.total_s, serial.total_s / parallel.total_s);
-    PrintRow("pk-idx 0% dup mt=" + std::to_string(hw), ssd ? "ssd" : "hdd",
-             parallel.total_s, extra);
   }
 
   // Per-op ingest latency: the serial path's stall distribution. The p50 is
@@ -230,17 +202,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Multi-queue device: the serial engine's maintenance fan-out now
-  // shortens *simulated* time — tasks bound to different queues overlap on
+  // Multi-queue device: the maintenance engine's per-tree tasks shorten
+  // *simulated* time — tasks bound to different queues overlap on
   // the device, so the critical path (crit_s) drops below the single-queue
   // simulated time while the serial-queue series above stay untouched. Both
   // sides run one host thread, so the overlap is the device's alone.
   PrintHeader("Fig13-mq", "multi-queue device, serial engine: queues=1 vs "
                           "queues=" + std::to_string(flags.queues));
   for (bool ssd : {false, true}) {
-    const CaseResult q1 = RunCase(ssd, true, 0.0, 1, 1, /*print=*/false);
-    const CaseResult qn =
-        RunCase(ssd, true, 0.0, 1, flags.queues, /*print=*/false);
+    const CaseResult q1 = RunCase(ssd, true, 0.0, 1, /*print=*/false);
+    const CaseResult qn = RunCase(ssd, true, 0.0, flags.queues, /*print=*/false);
     char extra[160];
     std::snprintf(extra, sizeof(extra),
                   "sim_s(q=1) %.3f -> crit_s(q=%u) %.3f (%.2fx overlap)",

@@ -18,9 +18,6 @@ void RunCase(const StrategyCase& sc, double update_ratio,
              UpdateDistribution dist, const char* dist_name) {
   Env env(BenchEnv(/*cache_mb=*/4));
   DatasetOptions o;
-  // Paper figures reproduce the serial engine; pin the maintenance path
-  // so modeled I/O stays deterministic on multi-core hosts.
-  o.maintenance_threads = 1;
   o.strategy = sc.strategy;
   o.merge_repair = sc.merge_repair;
   o.mem_budget_bytes = 1 << 20;

@@ -2,16 +2,13 @@
 // upsert ingestion; (b) impact of the number of secondary indexes, including
 // the deleted-key B+-tree baseline; (c) beyond the paper, how much of the
 // primary-key index stays cached under a small buffer cache while merges
-// run. Final sections run the multi-index workload on the concurrent
-// maintenance engine (exec/maintenance.h) and on a multi-queue device
+// run. A final section runs the multi-index workload on a multi-queue device
 // profile (src/io/).
 //
 // Modeled-time accounting since PR 3: the paper series run on a single-queue
 // device, where simulated disk seconds are charged to one head — bit-for-bit
-// the legacy DiskModel. Host threads on that one head (Fig15-mt) shorten
-// `wall_s` but interleave their scans, so sequential reads turn into seeks
-// and modeled time grows. The Fig15-mq section instead runs the serial
-// engine on an NVMe device profile, whose fanned-out flushes and merges and
+// the legacy DiskModel. The Fig15-mq section runs the same maintenance
+// engine on an NVMe device profile, whose per-tree flushes and merges and
 // key-range merge partitions are bound to independent queues: the device's
 // critical path (`crit_s`, max over queue clocks) drops strictly below the
 // single-queue simulated time on the same workload, which is how device
@@ -24,8 +21,6 @@
 // The --tiny size is chosen so every serial Fig15a/Fig15b row actually
 // merges (plain, merge-repair and deleted-key merges): the CI DIGEST lines
 // then pin the serial merge paths, not just flushes.
-#include <thread>
-
 #include "bench_util.h"
 
 namespace auxlsm {
@@ -55,7 +50,6 @@ struct IngestResult {
 struct IngestCase {
   uint64_t max_mergeable = 8u << 20;
   size_t num_secondary = 1;
-  size_t threads = 1;
   uint32_t queues = 1;
   bool nvme = false;
   size_t cache_pages = 0;  ///< 0 = BenchEnv's 4 MiB
@@ -63,8 +57,7 @@ struct IngestCase {
 };
 
 IngestResult RunIngest(const StrategyCase& sc, const IngestCase& ic) {
-  EnvOptions eo = BenchEnv(/*cache_mb=*/4, /*ssd=*/false,
-                           /*cache_shards=*/ic.threads > 1 ? 8 : 1);
+  EnvOptions eo = BenchEnv(/*cache_mb=*/4, /*ssd=*/false);
   if (ic.cache_pages != 0) eo.cache_pages = ic.cache_pages;
   eo.metrics = g_metrics;
   // The multi-queue comparison holds the cost parameters fixed and varies
@@ -76,7 +69,6 @@ IngestResult RunIngest(const StrategyCase& sc, const IngestCase& ic) {
   o.merge_repair = sc.merge_repair;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = ic.max_mergeable;
-  o.maintenance_threads = ic.threads;
   o.metrics = g_metrics;
   o.secondary_indexes.clear();
   for (size_t i = 0; i < ic.num_secondary; i++) {
@@ -178,31 +170,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Concurrent maintenance engine on a single-queue device: the more
-  // indexes a dataset carries, the more flush/merge work overlaps across the
-  // thread pool, so the wall (CPU) component shrinks. All of it is still
-  // charged to one head, and the threads' interleaved scans move that head
-  // between streams: sequential reads turn into seeks, so modeled time, and
-  // with it `total`, grows. The Fig15-mq section below is where simulated
-  // time itself drops.
-  const size_t hw = std::max(2u, std::thread::hardware_concurrency());
-  PrintHeader("Fig15-mt", "maintenance engine: serial vs " +
-                              std::to_string(hw) + " threads (3 idx, 8MB)");
-  for (const auto& sc : sec_cases) {
-    const IngestResult serial = RunIngest(sc, {.num_secondary = 3});
-    const IngestResult parallel =
-        RunIngest(sc, {.num_secondary = 3, .threads = hw});
-    char extra[160];
-    std::snprintf(extra, sizeof(extra),
-                  "wall_s %.3f -> %.3f (%.2fx) total %.2f -> %.2f (%.2fx)",
-                  serial.wall_s, parallel.wall_s,
-                  serial.wall_s / parallel.wall_s, serial.total_s,
-                  parallel.total_s, serial.total_s / parallel.total_s);
-    PrintRow(sc.name, "mt=" + std::to_string(hw), parallel.total_s, extra);
-  }
-
-  // Multi-queue device (the partitioned-merge section): same workload on the
-  // serial engine, NVMe profile with 1 vs N queues. With N > 1, maintenance
+  // Multi-queue device (the partitioned-merge section): same workload, NVMe
+  // profile with 1 vs N queues. With N > 1, maintenance
   // tasks are bound to queues by task index and every merge of at least
   // 1 MiB reads its inputs as N key-range partitions, one per queue (see
   // LsmTree::BuildMerge; the deleted-key row's secondary merges take the

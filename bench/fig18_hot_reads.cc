@@ -46,7 +46,6 @@ Fixture Build(MaintenanceStrategy strategy, size_t tuple_cache_bytes) {
   DatasetOptions o;
   o.metrics = g_metrics;
   o.strategy = strategy;
-  o.maintenance_threads = 1;  // serial engine: deterministic modeled I/O
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 4 << 20;
   o.tuple_cache_bytes = tuple_cache_bytes;

@@ -1,7 +1,6 @@
 // Figure 22 (§6.5): repair scalability with 5 secondary indexes (10%
-// updates). The secondary repair parallelizes across indexes (mostly
-// CPU-bound sort+validate); primary repair must push anti-matter through
-// every index.
+// updates). The secondary repair runs once per index (mostly CPU-bound
+// sort+validate); primary repair must push anti-matter through every index.
 #include "repair_bench_common.h"
 
 int main() {
@@ -14,7 +13,6 @@ int main() {
     cfg.steps = 5;
     cfg.update_ratio = 0.1;
     cfg.num_secondaries = 5;
-    cfg.parallel_repair = true;
     RunRepairBench(m, cfg);
   }
   return 0;

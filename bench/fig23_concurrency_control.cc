@@ -33,9 +33,6 @@ struct CaseConfig {
 double RunCase(BuildCcMethod method, const CaseConfig& cfg) {
   Env env(BenchEnv(/*cache_mb=*/64));
   DatasetOptions o;
-  // Paper figures reproduce the serial engine; pin the maintenance path
-  // so modeled I/O stays deterministic on multi-core hosts.
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.mem_budget_bytes = 1u << 30;  // no flushes during the merge
   Dataset ds(&env, o);
@@ -97,9 +94,9 @@ const char* MethodName(BuildCcMethod m) {
 /// Multi-writer ingest scaling (the PR 2 pipeline): N writer threads split a
 /// fixed record set; the dataset runs the writer-group pipeline (background
 /// seal/flush/merge, group-commit WAL) with the given §5.3 CC method for its
-/// merges. Reports wall seconds — like fig13/fig15's parallel sections, the
-/// modeled-I/O figures above stay pinned to the serial engine, and the
-/// pipeline's win is CPU/wall overlap, so it only shows on multi-core hosts.
+/// merges. Reports wall seconds: the modeled-I/O figures above stay pinned to
+/// the serial write path, and the pipeline's win is CPU/wall overlap, so it
+/// only shows on multi-core hosts.
 struct MultiWriterResult {
   double wall_s = 0;
   double sim_s = 0;       ///< storage + log device work (summed queues)
@@ -120,9 +117,6 @@ MultiWriterResult RunMultiWriterIngest(int writers, BuildCcMethod method,
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.build_cc = method;
   o.writer_threads = size_t(writers);
-  // writers == 1 pins both the serial write path and the serial maintenance
-  // engine (the legacy inline baseline).
-  o.maintenance_threads = writers == 1 ? 1 : 0;
   o.mem_budget_bytes = 2u << 20;
   o.log_queues = queues;
   o.metrics = g_metrics;
@@ -182,7 +176,7 @@ MultiWriterResult RunMultiWriterIngest(int writers, BuildCcMethod method,
 
 /// Serial-path per-op modeled ingest latency under sustained overload: each
 /// op's delta of simulated storage + log time. Deterministic (writers=1,
-/// maintenance_threads=1, queues=1 — on one queue crit == sim), so the tiny
+/// queues=1 — on one queue crit == sim), so the tiny
 /// run's percentile DIGEST lines anchor the CI parity check across --queues.
 LatencyPercentiles RunSerialOverloadModeled(uint64_t records) {
   EnvOptions eo = BenchEnv(/*cache_mb=*/16);
@@ -191,7 +185,6 @@ LatencyPercentiles RunSerialOverloadModeled(uint64_t records) {
   DatasetOptions o;
   o.metrics = g_metrics;
   o.strategy = MaintenanceStrategy::kMutableBitmap;
-  o.maintenance_threads = 1;
   o.mem_budget_bytes = 256 << 10;  // frequent inline flush + merge spikes
   o.max_mergeable_bytes = 64 << 20;
   Dataset ds(&env, o);
@@ -235,7 +228,6 @@ OverloadIngestResult RunOverloadIngest(int writers, size_t depth,
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.build_cc = BuildCcMethod::kLock;
   o.writer_threads = size_t(writers);
-  o.maintenance_threads = 0;
   o.merge_queue_depth = depth;
   o.mem_budget_bytes = 256 << 10;    // sustained overload: continuous cycles
   o.max_mergeable_bytes = 64 << 20;  // deep merges: long coupled merge phases
@@ -335,7 +327,7 @@ int main(int argc, char** argv) {
       "writers=1 is the legacy serial path (inline flush/merge); >1 runs "
       "background seal/flush/merge with group-commit WAL and the given "
       "merge CC method (Baseline = stop-the-world). Wall time only; the "
-      "modeled-I/O figures above stay pinned to the serial engine. "
+      "modeled-I/O figures above stay pinned to the serial path. "
       "commits_per_sync is the group-commit batch size (0 = no syncs, "
       "the serial path).");
   const uint64_t scaling_records = flags.tiny ? 8000 : 60000;

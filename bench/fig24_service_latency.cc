@@ -16,9 +16,9 @@
 //      comparison; a mismatch fails the binary).
 //   3. load sweep: p50/p90/p99 modeled latency at fractions of capacity.
 //
-// Serial sections (queues=1, writer_threads=1, maintenance_threads=1,
-// single dispatch thread) are fully deterministic and print DIGEST lines
-// the CI smoke job pins across --queues=1 and --queues=4 runs. The
+// Serial sections (queues=1, writer_threads=1, single dispatch thread) are
+// fully deterministic and print DIGEST lines the CI smoke job pins across
+// --queues=1 and --queues=4 runs. The
 // multi-queue section binds M connections over --queues device queues
 // (connection i -> queue i % Q) and reports how modeled overlap moves the
 // latency/throughput curve; it is diagnostic, not pinned.
@@ -60,7 +60,6 @@ Fixture MakeFixture(MaintenanceStrategy strategy, uint32_t queues,
   o.strategy = strategy;
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = 4 << 20;
-  o.maintenance_threads = 1;
   o.metrics = metrics;
   f.ds = std::make_unique<Dataset>(f.env.get(), o);
   f.gen = std::make_unique<TweetGenerator>();

@@ -1,7 +1,9 @@
 // Shared driver for the repair experiments (Figures 20-22, §6.5): ingest
 // records in increments; after each increment, pause and run a full repair
 // to bring all secondary indexes up-to-date, reporting the repair time as
-// data accumulates.
+// data accumulates. Repairs run one index after another on the calling
+// thread; each row prints time_s (wall + modeled) and io_s (modeled only,
+// deterministic).
 #pragma once
 
 #include "bench_util.h"
@@ -32,7 +34,6 @@ struct RepairBenchConfig {
   double update_ratio = 0.0;
   size_t record_bytes = 0;        ///< 0 = the default 450-550B tweets
   size_t num_secondaries = 1;
-  bool parallel_repair = false;   ///< repair secondary indexes in threads
 };
 
 /// Runs the incremental ingest-then-repair loop and prints one row per step.

@@ -20,10 +20,10 @@
 //                                        InstallFlushed; never the reverse)
 //   rank 300  leaf subsystem mutexes: TupleCache::mu_, Wal::mu_,
 //             Dataset::fixup_mu_, LockManager shard mutexes,
-//             MaintenanceScheduler::merge_mu_ and pool_mu_, ...
+//             MaintenanceScheduler::merge_mu_, ...
 //             (leaves relative to each other: two rank-300 locks must never
 //             nest, which the strict ordering check enforces for free)
-//   rank 310  ThreadPool::queue_mu_ (PoolQueueDepth nests it under pool_mu_)
+//   rank 310  ThreadPool::queue_mu_ (the request server's worker pool)
 //   rank 400  BufferCache shard mutexes
 //   rank 450  PageStore::mu_ (miss fills fault pages under the shard lock)
 //   rank 500  DiskModel::mu_ (every modeled-I/O charge bottoms out here:
@@ -59,8 +59,8 @@ enum Rank : uint32_t {
   kIngestLatch = 100,   ///< Dataset::ingest_mu_
   kTreeMem = 200,       ///< LsmTree::mem_mu_
   kTreeComponents = 210,///< LsmTree::components_mu_
-  kLeaf = 300,          ///< cache/WAL/pool/etc. leaf mutexes
-  kPoolQueue = 310,     ///< ThreadPool::queue_mu_ (nests under pool_mu_)
+  kLeaf = 300,          ///< cache/WAL/merge-queue/etc. leaf mutexes
+  kPoolQueue = 310,     ///< ThreadPool::queue_mu_ (request server pool)
   kCacheShard = 400,    ///< BufferCache shard mutexes
   kPageStore = 450,     ///< PageStore::mu_ (page faults run under a shard)
   kDiskModel = 500,     ///< DiskModel::mu_ (deepest: modeled-I/O charges)

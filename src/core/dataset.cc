@@ -117,10 +117,7 @@ Dataset::Dataset(Env* env, DatasetOptions options)
     }
   }
   MaintenanceOptions mopts;
-  mopts.threads = options_.maintenance_threads;
-  mopts.io = env_->io();  // queue affinity for fanned-out maintenance tasks
-  // Always present: with one thread the scheduler spawns no pool and runs
-  // every task inline, so the serial engine takes the same steps.
+  mopts.io = env_->io();  // queue affinity for the maintenance tasks
   maintenance_ = std::make_unique<MaintenanceScheduler>(mopts);
   // Multi-writer commits batch their modeled log syncs (group commit).
   if (multi_writer()) wal_.set_group_commit(true);
@@ -464,8 +461,8 @@ Dataset::FlushRound Dataset::SealFlushRound() {
 }
 
 Status Dataset::BuildFlushRound(FlushRound* round) {
-  // Distinct trees write distinct files, so the builds fan out on the
-  // scheduler (inline with one thread). Each build runs under the
+  // Distinct trees write distinct files, so each build is its own scheduler
+  // task on its tree's device queue. Each build runs under the
   // transient-retry policy; a failed build leaves its sealed memtable in
   // place, so no data is lost (WAL + sealed state).
   FaultInjector* const fault = options_.fault_injector;
@@ -726,11 +723,12 @@ std::vector<Dataset::MergeStream> Dataset::MergeStreams(bool decoupled) {
     return {MergeStream{
         anchor, [this, decoupled]() { return CorrelatedMerge(decoupled); }}};
   }
-  // One stream per tree: independent trees merge concurrently while each
-  // tree's own merges stay serialized inside its stream. Secondary
-  // repair/deleted-key merges read the primary-key index concurrently with
-  // its own merge — safe because readers work on component snapshots and
-  // ReplaceComponents swaps atomically.
+  // One stream per tree: each tree's own merges stay serialized inside its
+  // stream, and in decoupled mode independent trees' streams drain
+  // concurrently. Secondary repair/deleted-key merges may then read the
+  // primary-key index concurrently with its own merge — safe because
+  // readers work on component snapshots and ReplaceComponents swaps
+  // atomically.
   std::vector<MergeStream> streams;
   streams.push_back(MergeStream{
       primary_.get(), [this]() { return MergeTreeToPolicy(primary_.get()); }});

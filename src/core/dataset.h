@@ -116,10 +116,11 @@ struct DatasetOptions {
   uint32_t log_queues = 1;
 
   // --- Maintenance engine (exec/maintenance.h) ------------------------------
-  /// Threads used to run the indexes' flushes and merges concurrently.
-  /// 0 = one per hardware thread; 1 = no worker pool: the scheduler runs
-  /// every flush build and merge task inline on the calling thread (the
-  /// same maintenance steps, one at a time — the serial engine).
+  /// Inert: nothing reads it. The maintenance engine has no worker pool and
+  /// runs every flush build and merge task inline on the calling thread on
+  /// every host. The field is kept only because the benchmark harness
+  /// (perfbench/src/{ingest,query,service}.cc) still assigns it; dropping
+  /// those assignments and this field is a one-line follow-up.
   size_t maintenance_threads = 0;
 
   // --- Concurrent ingestion pipeline (PR 2) ---------------------------------
@@ -426,10 +427,10 @@ class Dataset {
   /// One unified point-in-time view: every subsystem's stats struct
   /// (ingest, maintenance, WAL, storage + log I/O, page cache, tuple
   /// cache), the live backlog gauges (per-tree merge_pending_jobs and
-  /// sealed memtables, maintenance pool queue depth, pending merge
-  /// rounds/jobs, WAL batch occupancy), and — when DatasetOptions::metrics
-  /// is attached — the registry's counters and latency histograms. Always
-  /// available (pull-based; costs nothing until called).
+  /// sealed memtables, pending merge rounds/jobs, WAL batch occupancy),
+  /// and — when DatasetOptions::metrics is attached — the registry's
+  /// counters and latency histograms. Always available (pull-based; costs
+  /// nothing until called).
   obs::MetricsSnapshot MetricsSnapshot();
   /// Human-readable dump of MetricsSnapshot() (the quickstart's one-call
   /// "show me what happened").
@@ -445,9 +446,8 @@ class Dataset {
   /// The dataset-owned tracer; null unless trace_buffer_bytes > 0.
   obs::Tracer* tracer() const { return tracer_.get(); }
 
-  /// The maintenance engine; always present. With maintenance_threads = 1
-  /// it has no worker pool (parallel() is false) and runs every task
-  /// inline; its merge queues are used only with merge_queue_depth > 0.
+  /// The maintenance engine; always present. It runs every task inline;
+  /// its merge queues are used only with merge_queue_depth > 0.
   MaintenanceScheduler* maintenance() { return maintenance_.get(); }
 
   /// Total memory-component bytes across indexes (flush trigger input).

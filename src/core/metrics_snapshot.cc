@@ -97,10 +97,8 @@ obs::MetricsSnapshot Dataset::MetricsSnapshot() {
     s.Set(p + ".disk_components", double(t->NumDiskComponents()));
   }
 
-  // Maintenance engine backlog (all zero on the serial engine, which has no
-  // pool and no merge queues in use — emitted anyway so the key set is
-  // stable).
-  s.Set("exec.pool_queue_depth", double(maintenance_->PoolQueueDepth()));
+  // Merge-queue backlog (zero unless merge_queue_depth > 0 — emitted
+  // anyway so the key set is stable).
   s.Set("exec.merge_rounds_pending",
         double(maintenance_->PendingMergeRounds()));
   s.Set("exec.merge_jobs_pending", double(maintenance_->PendingMergeJobs()));

@@ -114,15 +114,14 @@ class FilterScanExecutor final : public QueryExecutor {
       // concurrently flushed entry can appear in both; the newer timestamp
       // wins in either direction. Serially a mem/disk duplicate cannot
       // exist with a valid bitmap bit (the upsert marks the old version),
-      // so the reconciliation map is only built when the maintenance engine
-      // makes concurrent flushes possible — the serial hot loop stays
-      // allocation-free.
+      // so the reconciliation map is only built when concurrent writers and
+      // the background cycle make concurrent flushes possible — the serial
+      // hot loop stays allocation-free.
       per_component_ = true;
       comps_ = std::move(comps);
       overlaps_ = overlaps;
       include_memtable_ = mem_overlaps;
-      if (mem_overlaps && (dataset_->maintenance_->parallel() ||
-                           dataset_->multi_writer())) {
+      if (mem_overlaps && dataset_->multi_writer()) {
         for (const auto& e : mem_) mem_ts_[e.key] = e.ts;
       }
       return Status::OK();

@@ -8,8 +8,8 @@
 //
 // Concurrency: the cache is split into `shards` independent stripes, each
 // with its own mutex, LRU list, and page index, selected by a hash of
-// (file_id, page_no). Parallel maintenance (concurrent flushes/merges) and
-// lookups therefore contend per-stripe instead of on one global mutex.
+// (file_id, page_no). Concurrent writers, merge workers and lookups
+// therefore contend per-stripe instead of on one global mutex.
 // shards == 1 reproduces the single-LRU behavior exactly (one global
 // eviction order), which keeps the simulated I/O costs of serial runs
 // bit-for-bit comparable with the original implementation.

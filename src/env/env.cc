@@ -1,22 +1,12 @@
 #include "env/env.h"
 
-#include <algorithm>
-#include <thread>
-
 namespace auxlsm {
-
-namespace {
-size_t ResolveCacheShards(const EnvOptions& o) {
-  if (o.cache_shards != 0) return o.cache_shards;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-}  // namespace
 
 Env::Env(EnvOptions options)
     : options_(options),
       store_(options.page_size),
       io_(options.ResolvedDevice()),
-      cache_(&store_, &io_, options.cache_pages, ResolveCacheShards(options)) {
+      cache_(&store_, &io_, options.cache_pages, options.cache_shards) {
   if (options_.fault_injector != nullptr) {
     io_.set_fault_injector(options_.fault_injector);
     cache_.set_fault_injector(options_.fault_injector);

@@ -20,11 +20,12 @@ namespace auxlsm {
 struct EnvOptions {
   size_t page_size = 4096;
   size_t cache_pages = 4096;         ///< 16 MiB with 4 KiB pages
-  /// Lock stripes of the buffer cache. 0 = one per hardware thread (capped
-  /// by the cache size), so a parallel maintenance engine doesn't serialize
-  /// page faults behind one mutex. 1 = the single global LRU, bit-for-bit
-  /// the legacy behavior — deterministic-I/O benches and tests pin this.
-  size_t cache_shards = 0;
+  /// Lock stripes of the buffer cache (capped by the cache size; 0 is
+  /// treated as 1). 1 = the single global LRU with exact LRU eviction
+  /// order, bit-for-bit the legacy behavior. More stripes let concurrent
+  /// writers, readers and merge workers fault pages without contending on
+  /// one mutex, at the price of a per-stripe eviction order.
+  size_t cache_shards = 1;
   /// Legacy single-head cost parameters; the device defaults to one queue of
   /// this profile, which reproduces the old DiskModel charging bit-for-bit.
   DiskProfile disk_profile = DiskProfile::Hdd();

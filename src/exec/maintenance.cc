@@ -1,26 +1,18 @@
 #include "exec/maintenance.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
-#include "exec/thread_pool.h"
 #include "io/io_engine.h"
 
 namespace auxlsm {
 
 MaintenanceScheduler::MaintenanceScheduler(MaintenanceOptions options)
-    : options_(options) {
-  threads_ = options_.threads;
-  if (threads_ == 0) {
-    threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-}
+    : options_(options) {}
 
 MaintenanceScheduler::~MaintenanceScheduler() {
-  // Shut the merge queues down like ThreadPool: remaining jobs still run
-  // (the owning Dataset keeps its trees alive until after this destructor),
-  // then the workers exit and are joined.
+  // Shut the merge queues down: remaining jobs still run (the owning
+  // Dataset keeps its trees alive until after this destructor), then the
+  // workers exit and are joined.
   {
     MutexLock l(merge_mu_);
     merge_stop_ = true;
@@ -44,12 +36,12 @@ void MaintenanceScheduler::EnqueueMergeRound(std::vector<MergeJob> jobs) {
     it->second.jobs.push_back(QueuedMergeJob{std::move(j.work), remaining});
     merge_jobs_pending_++;
   }
-  // Merge work gets dedicated drain workers (never the flush pool): lazily
-  // spawned, capped at one per registered queue — a tree's queue can always
-  // drain even while every other queue is stuck on a long merge, which is
-  // the "a backlogged merge on one tree never blocks other trees' merges"
-  // guarantee. Queue count is the dataset's tree count, so this stays a
-  // handful of mostly-parked threads even on a serial engine.
+  // Merge work gets dedicated drain workers: lazily spawned, capped at one
+  // per registered queue — a tree's queue can always drain even while every
+  // other queue is stuck on a long merge, which is the "a backlogged merge
+  // on one tree never blocks other trees' merges" guarantee. Queue count is
+  // the dataset's tree count, so this stays a handful of mostly-parked
+  // threads.
   size_t claimable = 0;
   for (const auto& [key, q] : merge_queues_) {
     (void)key;
@@ -172,70 +164,21 @@ Status MaintenanceScheduler::TakeMergeError() {
   return s;
 }
 
-ThreadPool* MaintenanceScheduler::pool() {
-  if (threads_ <= 1) return nullptr;
-  MutexLock l(pool_mu_);
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
-  return pool_.get();
-}
-
-size_t MaintenanceScheduler::PoolQueueDepth() {
-  MutexLock l(pool_mu_);
-  return pool_ == nullptr ? 0 : pool_->QueueDepth();
-}
-
-Status MaintenanceScheduler::WaitAll(
-    std::vector<std::future<Status>>& futures) {
-  ThreadPool* p = pool();
+Status MaintenanceScheduler::RunAll(
+    std::vector<std::function<Status()>>&& tasks) {
+  // Queue affinity: task i's I/O is charged to device queue (i % queues).
+  // Simulated device concurrency needs no host concurrency: the tasks run
+  // one after another, each on its own queue clock. With a single-queue
+  // engine this is a no-op.
+  IoEngine* io = options_.io;
+  const bool bind = io != nullptr && io->num_queues() > 1 && tasks.size() > 1;
   Status first_error;
-  for (auto& f : futures) {
-    // Help drain the pool queue while waiting, so tasks that themselves
-    // fanned out (nested merges) cannot starve on a fully blocked pool.
-    while (f.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!p->RunOneQueued()) {
-        f.wait_for(std::chrono::milliseconds(1));
-      }
-    }
-    const Status st = f.get();
+  for (size_t i = 0; i < tasks.size(); i++) {
+    IoQueueScope scope(bind ? io : nullptr, uint32_t(i));
+    const Status st = tasks[i]();
     if (first_error.ok() && !st.ok()) first_error = st;
   }
   return first_error;
-}
-
-Status MaintenanceScheduler::RunAll(
-    std::vector<std::function<Status()>>&& tasks) {
-  if (tasks.empty()) return Status::OK();
-  // Queue affinity: task i's I/O is charged to device queue (i % queues).
-  // Binding travels with the task (not the worker), so the mapping is
-  // deterministic under helping/stealing, and it applies on the inline
-  // serial path too — simulated device concurrency is independent of host
-  // concurrency. With a single-queue engine this is a no-op.
-  IoEngine* io = options_.io;
-  const bool bind = io != nullptr && io->num_queues() > 1 && tasks.size() > 1;
-  if (bind) {
-    for (size_t i = 0; i < tasks.size(); i++) {
-      tasks[i] = [io, i, task = std::move(tasks[i])]() {
-        IoQueueScope scope(io, uint32_t(i));
-        return task();
-      };
-    }
-  }
-  if (!parallel() || tasks.size() == 1) {
-    Status first_error;
-    for (auto& t : tasks) {
-      const Status st = t();
-      if (first_error.ok() && !st.ok()) first_error = st;
-    }
-    return first_error;
-  }
-  ThreadPool* p = pool();
-  std::vector<std::future<Status>> futures;
-  futures.reserve(tasks.size());
-  for (auto& t : tasks) {
-    futures.push_back(p->Submit(std::move(t)));
-  }
-  return WaitAll(futures);
 }
 
 }  // namespace auxlsm

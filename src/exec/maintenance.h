@@ -1,5 +1,5 @@
-// Background maintenance engine: runs the flushes and merges of a Dataset's
-// index trees concurrently on a ThreadPool (exec/thread_pool.h).
+// Maintenance engine: runs the flushes and merges of a Dataset's index
+// trees, binding each task to a device queue of the dataset's IoEngine.
 //
 // Architecture / threading model of src/exec/:
 //
@@ -17,61 +17,51 @@
 //     EnqueueMergeWork   ── one job per merge stream ──► EnqueueMergeRound
 //     MergeStep: retry + the merge failpoint around every single merge
 //
-//   RunAll runs its tasks inline when threads == 1 (the serial engine) and
-//   on the ThreadPool (N workers) otherwise; EnqueueMergeRound feeds the
-//   per-tree merge queues (decoupled mode). Every plain merge is one
-//   LsmTree::MergeComponents call inside its tree's task.
+//   RunAll runs its tasks inline, in order, on the calling thread (nested
+//   RunAll calls, e.g. CorrelatedMerge inside a RunMerges task, simply run
+//   inline too); EnqueueMergeRound feeds the per-tree merge queues
+//   (decoupled mode). Every plain merge is one LsmTree::MergeComponents call
+//   inside its tree's task.
 //
-//   - Work is fanned out at *tree* granularity: the primary, primary-key,
-//     secondary, and deleted-key trees flush and merge concurrently. Merges
-//     of one tree are never issued concurrently (per-tree serialization):
-//     each tree's merge loop runs inside a single task.
-//   - A large merge of one tree is not fanned out further: on a multi-queue
-//     device LsmTree::MergeComponents reads it as key-range partitions on
-//     the calling thread, each bound to its own device queue. Partitioning
-//     follows the device's queue count, not the thread count.
-//   - Shared state touched from tasks: Env's PageStore / IoEngine /
-//     BufferCache (each internally synchronized; the BufferCache is
-//     lock-striped into shards), and each LsmTree's components_ list
-//     (guarded by its components_mu_). Dataset-level counters (IngestStats)
-//     are relaxed atomics (common/stat_counter.h): they are bumped from
-//     concurrent writer threads and the background ingestion pipeline, not
-//     just the coordinating thread.
+//   - Work is split at *tree* granularity: the primary, primary-key,
+//     secondary, and deleted-key trees each get their own flush and merge
+//     task. Merges of one tree are never issued concurrently (per-tree
+//     serialization): each tree's merge loop runs inside a single task.
+//   - A large merge of one tree is split further only by key range: on a
+//     multi-queue device LsmTree::MergeComponents reads it as key-range
+//     partitions on the calling thread, each bound to its own device queue.
 //   - Queue affinity: when MaintenanceOptions::io names a multi-queue
 //     IoEngine, RunAll binds task i to device queue (i % queues) for the
-//     task's duration (IoQueueScope), so fanned-out flushes and merges
-//     charge independent queue clocks and genuinely overlap in *simulated*
-//     time, not just wall-clock. (Flush builds rebind inside their task to
-//     their tree's fixed slot.) The mapping is by task index,
-//     not worker thread, so it is deterministic under work stealing and
-//     "helping", and it applies on the serial inline path too (modeled
-//     device concurrency does not require host concurrency). With a
-//     single-queue engine every binding resolves to queue 0 — bit-for-bit
-//     the legacy single-head charging. There, host threads do more than
-//     shorten wall time: their reads interleave on the one head, so
-//     sequential scans turn into seeks and modeled time grows (see the
-//     Fig15-mt rows of bench/fig15_merge_and_secondary.cc).
-//   - Waits use "helping": a thread blocked on task futures runs queued
-//     tasks itself, so nested fan-out (CorrelatedMerge's RunAll inside a
-//     RunMerges task) cannot deadlock the fixed-size pool.
+//     task's duration (IoQueueScope), so the trees' flushes and merges
+//     charge independent queue clocks and overlap in *simulated* time.
+//     (Flush builds rebind inside their task to their tree's fixed slot.)
+//     Modeled device concurrency needs no host concurrency, so the engine
+//     behaves the same on every host. With a single-queue engine every
+//     binding resolves to queue 0 — bit-for-bit the legacy single-head
+//     charging.
+//   - Shared state touched from tasks: Env's PageStore / IoEngine /
+//     BufferCache (each internally synchronized), and each LsmTree's
+//     components_ list (guarded by its components_mu_). Tasks run on the
+//     ingesting thread, the background cycle thread or a merge drain
+//     worker, concurrently with writers and readers; Dataset-level
+//     counters (IngestStats) are relaxed atomics (common/stat_counter.h).
 //   - Decoupled merge scheduling (PR 5): EnqueueMergeRound hands merge work
 //     to per-tree FIFO queues drained by dedicated lazily-spawned drain
-//     workers — NOT the flush pool, so a long merge backlog can never starve
-//     the next flush cycle's fan-out. Jobs of one queue key run strictly
-//     serially (the per-tree merge serialization rule above); distinct keys
-//     drain concurrently. Each queue is bound to device queue
-//     (registration-index % io queues) for its jobs' duration, mirroring
-//     RunAll's task-index affinity. A *round* is the batch of jobs one flush
-//     cycle enqueues; PendingMergeRounds() counts rounds not yet fully
-//     retired and is the ingestion pipeline's bounded merge-backlog
-//     backpressure signal. The first job error is sticky
-//     (merge_error / TakeMergeError) until explicitly taken.
+//     workers, so a long merge backlog can never delay the next flush
+//     cycle. Jobs of one queue key run strictly serially (the per-tree
+//     merge serialization rule above); distinct keys drain concurrently.
+//     Each queue is bound to device queue (registration-index % io queues)
+//     for its jobs' duration, mirroring RunAll's task-index affinity. A
+//     *round* is the batch of jobs one flush cycle enqueues;
+//     PendingMergeRounds() counts rounds not yet fully retired and is the
+//     ingestion pipeline's bounded merge-backlog backpressure signal. The
+//     first job error is sticky (merge_error / TakeMergeError) until
+//     explicitly taken.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -84,14 +74,9 @@
 
 namespace auxlsm {
 
-class ThreadPool;
 class IoEngine;
 
 struct MaintenanceOptions {
-  /// Worker threads. 0 = one per hardware thread; 1 = no pool (every
-  /// scheduler entry point degrades to the caller's thread, byte-for-byte
-  /// the legacy serial behavior).
-  size_t threads = 0;
   /// Device engine for queue affinity: RunAll binds task i to device queue
   /// (i % queues). Null or single-queue = every task charges queue 0, the
   /// legacy single-head accounting.
@@ -106,19 +91,9 @@ class MaintenanceScheduler {
   MaintenanceScheduler(const MaintenanceScheduler&) = delete;
   MaintenanceScheduler& operator=(const MaintenanceScheduler&) = delete;
 
-  /// Resolved worker count (>= 1).
-  size_t threads() const { return threads_; }
-  /// True when entry points fan out (threads > 1). The worker pool itself
-  /// is spawned lazily on first use, so an idle scheduler costs nothing.
-  bool parallel() const { return threads_ > 1; }
-  /// The worker pool; created on first call, null when not parallel().
-  ThreadPool* pool();
-  /// Live queue depth of the worker pool WITHOUT creating it (0 when the
-  /// pool was never spawned) — the exec.pool_queue_depth gauge.
-  size_t PoolQueueDepth();
-
-  /// Runs every task (on the pool when parallel, else inline) and returns
-  /// the first non-OK status. All tasks run to completion either way.
+  /// Runs every task inline, in order, task i bound to device queue
+  /// (i % queues), and returns the first non-OK status. All tasks run to
+  /// completion either way.
   Status RunAll(std::vector<std::function<Status()>>&& tasks);
 
   // --- Decoupled per-tree merge queues --------------------------------------
@@ -132,7 +107,7 @@ class MaintenanceScheduler {
 
   /// Enqueues one *round* of merge work (the batch one flush cycle hands
   /// over). Jobs are appended to their keys' FIFO queues and drained by
-  /// dedicated merge workers, never by the flush pool. The round stays
+  /// dedicated merge workers, never by RunAll's caller. The round stays
   /// pending until every one of its jobs finished. Empty rounds are ignored.
   void EnqueueMergeRound(std::vector<MergeJob> jobs);
 
@@ -164,9 +139,6 @@ class MaintenanceScheduler {
   Status TakeMergeError();
 
  private:
-  /// Blocks on `futures`, helping run queued pool tasks meanwhile.
-  Status WaitAll(std::vector<std::future<Status>>& futures);
-
   struct QueuedMergeJob {
     std::function<Status()> work;
     /// Shared per-round countdown (guarded by merge_mu_); the round retires
@@ -180,14 +152,11 @@ class MaintenanceScheduler {
   };
   /// Long-lived merge drain worker: claims a non-draining queue with work,
   /// runs its jobs to empty (serially), repeats; exits on shutdown once no
-  /// claimable work remains (the destructor drains, like ThreadPool's).
+  /// claimable work remains (the destructor drains the queues first).
   void MergeDrainLoop();
   MergeQueue* ClaimQueueLocked() REQUIRES(merge_mu_);
 
   MaintenanceOptions options_;
-  size_t threads_ = 1;
-  Mutex pool_mu_{lockrank::kLeaf, "exec.pool_mu"};  // guards lazy pool creation
-  std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mu_);  // null until use
 
   // Merge-queue state (all guarded by merge_mu_ except where noted).
   mutable Mutex merge_mu_{lockrank::kLeaf, "exec.merge_mu"};

@@ -21,23 +21,6 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-bool ThreadPool::RunOneQueued() {
-  std::function<void()> task;
-  {
-    MutexLock l(queue_mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
-}
-
-size_t ThreadPool::QueueDepth() const {
-  MutexLock l(queue_mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

@@ -1,11 +1,11 @@
-// Fixed-size worker pool backing the maintenance engine (exec/maintenance.h).
+// Fixed-size worker pool backing the request server's worker_threads
+// (server/server.h): per-connection batches fan out over its workers.
 //
-// Threading model of src/exec/ (see also maintenance.h):
+// Threading model:
 //   - ThreadPool owns N OS threads that pop tasks from one FIFO queue guarded
 //     by queue_mu_. Submit() may be called from any thread, including from a
 //     task already running on the pool (tasks must not *block* on tasks they
-//     submitted unless spare workers exist — the MaintenanceScheduler is
-//     structured so only the coordinating thread waits on futures).
+//     submitted unless spare workers exist).
 //   - Exceptions thrown by a task are captured in the task's future and
 //     rethrown at get(); workers never die from a task exception.
 //   - The destructor drains the queue (runs every submitted task) before
@@ -52,19 +52,10 @@ class ThreadPool {
     return future;
   }
 
-  /// Pops and runs one queued task on the calling thread; returns false if
-  /// the queue was empty. Threads blocked on futures of tasks that fan out
-  /// further Submit()s call this in a loop ("helping"), which keeps nested
-  /// fan-out deadlock-free even when every worker is blocked waiting.
-  bool RunOneQueued();
-
-  /// Tasks submitted and not yet started (diagnostics).
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
-  mutable Mutex queue_mu_{lockrank::kPoolQueue, "threadpool.queue"};
+  Mutex queue_mu_{lockrank::kPoolQueue, "threadpool.queue"};
   CondVar queue_cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(queue_mu_);
   bool stop_ GUARDED_BY(queue_mu_) = false;

@@ -27,7 +27,6 @@ DatasetOptions BaseOptions(MaintenanceStrategy s) {
   o.mem_budget_bytes = 64 << 10;  // small budget: force flushes and merges
   o.max_mergeable_bytes = 1 << 30;
   if (s == MaintenanceStrategy::kValidation) o.merge_repair = true;
-  o.maintenance_threads = 1;  // pin the serial engine on every host
   return o;
 }
 

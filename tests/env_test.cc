@@ -147,6 +147,29 @@ TEST(BufferCacheTest, LruEvictsOldest) {
   EXPECT_EQ(env.stats().cache_misses, misses_before + 1);
 }
 
+TEST(BufferCacheTest, DefaultOptionsGiveOneShardWithExactLruOrder) {
+  // The default stripe count is host-independent: one shard, one global LRU.
+  EnvOptions o;
+  o.cache_pages = 4;  // only the size is set; cache_shards keeps its default
+  Env env(o);
+  EXPECT_EQ(env.cache()->shards(), 1u);
+  const uint32_t f = env.CreateFile();
+  for (int i = 0; i < 5; i++) {
+    ASSERT_TRUE(env.AppendPage(f, Page(env, char('a' + i)), nullptr).ok());
+  }
+  PageData d;
+  for (uint32_t p = 0; p < 4; p++) ASSERT_TRUE(env.ReadPage(f, p, &d).ok());
+  ASSERT_TRUE(env.ReadPage(f, 0, &d).ok());  // hit: page 0 becomes MRU
+  ASSERT_TRUE(env.ReadPage(f, 4, &d).ok());  // evicts page 1, the LRU page
+  const uint64_t misses = env.stats().cache_misses;
+  for (uint32_t p : {0u, 2u, 3u, 4u}) {
+    ASSERT_TRUE(env.ReadPage(f, p, &d).ok());
+  }
+  EXPECT_EQ(env.stats().cache_misses, misses);  // all four still resident
+  ASSERT_TRUE(env.ReadPage(f, 1, &d).ok());
+  EXPECT_EQ(env.stats().cache_misses, misses + 1);  // page 1 was evicted
+}
+
 TEST(BufferCacheTest, ReadAheadFaultsFollowingPagesSequentially) {
   Env env(SmallEnv(/*cache_pages=*/16));
   const uint32_t f = env.CreateFile();
@@ -425,7 +448,6 @@ TEST(EnvTest, RetiredComponentsLeakNoHeadPositions) {
   o.merge_repair = true;  // exercises the repair retirement path too
   o.mem_budget_bytes = 64u << 10;
   o.max_mergeable_bytes = 8u << 20;
-  o.maintenance_threads = 4;  // maintenance I/O spread over the 4 queues
   {
     Dataset ds(&env, o);
     TweetGenerator gen;

@@ -50,26 +50,23 @@ DatasetOptions Opts(MaintenanceStrategy s, FaultInjector* fault) {
   return o;
 }
 
-// Engine modes pinned explicitly, so a test means the same engine on every
-// host instead of inheriting its core count (maintenance_threads = 0).
+// The engine modes: the serial write path, the multi-writer pipeline with
+// coupled merges, and the pipeline with decoupled merge queues.
 struct EngineMode {
   const char* name;
-  size_t maintenance_threads;
   size_t writer_threads;
   size_t merge_queue_depth;
 };
 
 const EngineMode kEngineModes[] = {
-    {"serial", 1, 1, 0},
-    {"parallel", 4, 1, 0},
-    {"pipeline", 1, 4, 0},
-    {"decoupled", 1, 4, 4},
+    {"serial", 1, 0},
+    {"pipeline", 4, 0},
+    {"decoupled", 4, 4},
 };
 
 void PrintTo(const EngineMode& mode, std::ostream* os) { *os << mode.name; }
 
 void ApplyMode(const EngineMode& mode, DatasetOptions* o) {
-  o->maintenance_threads = mode.maintenance_threads;
   o->writer_threads = mode.writer_threads;
   o->merge_queue_depth = mode.merge_queue_depth;
 }

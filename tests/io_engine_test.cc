@@ -299,7 +299,6 @@ TEST(IoEngineDatasetTest, NvmeQueuesShortenSimulatedMaintenanceTime) {
     o.strategy = MaintenanceStrategy::kValidation;
     o.mem_budget_bytes = 512u << 10;
     o.max_mergeable_bytes = 8u << 20;
-    o.maintenance_threads = 1;
     Dataset ds(&env, o);
     TweetGenerator gen;
     Random rng(11);

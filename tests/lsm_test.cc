@@ -438,7 +438,6 @@ std::unique_ptr<Dataset> LoadSecondaryComponents(Env* env,
   o.merge_repair = strategy == MaintenanceStrategy::kValidation;
   o.mem_budget_bytes = 1 << 30;
   o.max_mergeable_bytes = 1;
-  o.maintenance_threads = 1;
   auto ds = std::make_unique<Dataset>(env, o);
   const uint64_t per_round = 24000;
   for (uint64_t round = 0; round < 3; round++) {

@@ -1,7 +1,7 @@
-// Maintenance engine (exec/maintenance.h): the parallel flush/merge pipeline
-// and the serial engine on a multi-queue device (whose large merges read
-// key-range partitions) must produce datasets indistinguishable from the
-// serial single-queue engine, and stay correct under concurrent readers.
+// Maintenance engine (exec/maintenance.h): on a multi-queue device (whose
+// tasks bind to queues and whose large merges read key-range partitions) it
+// must produce datasets indistinguishable from the single-queue engine, run
+// every task inline, and stay correct under concurrent readers.
 #include "exec/maintenance.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 
 #include "core/dataset.h"
 #include "core/point_lookup.h"
-#include "exec/thread_pool.h"
 #include "format/key_codec.h"
+#include "io/io_engine.h"
 
 namespace auxlsm {
 namespace {
@@ -38,12 +38,17 @@ TweetRecord MakeTweet(uint64_t id, uint64_t user, uint64_t time) {
   return r;
 }
 
-DatasetOptions BaseOptions(MaintenanceStrategy strategy, size_t threads) {
+EnvOptions FourQueueEnv() {
+  EnvOptions o = TestEnv();
+  o.io_queues = 4;
+  return o;
+}
+
+DatasetOptions BaseOptions(MaintenanceStrategy strategy) {
   DatasetOptions o;
   o.strategy = strategy;
   o.mem_budget_bytes = 64 << 10;  // frequent automatic flushes and merges
   o.max_mergeable_bytes = 4 << 20;
-  o.maintenance_threads = threads;
   return o;
 }
 
@@ -76,55 +81,35 @@ std::map<uint64_t, uint64_t> LiveRecords(Dataset* ds) {
 class MaintenanceParityTest
     : public ::testing::TestWithParam<MaintenanceStrategy> {};
 
-TEST_P(MaintenanceParityTest, ParallelEngineMatchesSerialEngine) {
+TEST_P(MaintenanceParityTest, MultiQueueEngineMatchesSingleQueueEngine) {
   const MaintenanceStrategy strategy = GetParam();
-  Env serial_env(TestEnv());
-  Dataset serial(&serial_env, BaseOptions(strategy, 1));
-  // The serial engine is the same scheduler without a worker pool.
-  ASSERT_NE(serial.maintenance(), nullptr);
-  EXPECT_FALSE(serial.maintenance()->parallel());
-  RunWorkload(&serial, 3000);
+  Env q1_env(TestEnv());
+  Dataset q1(&q1_env, BaseOptions(strategy));
+  ASSERT_NE(q1.maintenance(), nullptr);
+  RunWorkload(&q1, 3000);
+  EXPECT_GT(q1.ingest_stats().flushes, 0u);
+  EXPECT_GT(q1.ingest_stats().merges, 0u);
 
-  Env parallel_env(TestEnv(/*cache_shards=*/8));
-  Dataset parallel(&parallel_env, BaseOptions(strategy, 4));
-  ASSERT_NE(parallel.maintenance(), nullptr);
-  EXPECT_TRUE(parallel.maintenance()->parallel());
-  RunWorkload(&parallel, 3000);
-
-  // Both engines flushed and merged along the way.
-  EXPECT_GT(parallel.ingest_stats().flushes, 0u);
-  EXPECT_GT(parallel.ingest_stats().merges, 0u);
-  EXPECT_EQ(parallel.ingest_stats().flushes, serial.ingest_stats().flushes);
-
-  EXPECT_EQ(LiveRecords(&parallel), LiveRecords(&serial));
-  EXPECT_EQ(parallel.num_records(), serial.num_records());
-
-  // The serial engine on a 4-queue device: no worker pool, but its large
-  // merges read key-range partitions bound to different device queues.
-  EnvOptions q4 = TestEnv();
-  q4.io_queues = 4;
-  Env serial_q4_env(q4);
-  Dataset serial_q4(&serial_q4_env, BaseOptions(strategy, 1));
-  EXPECT_FALSE(serial_q4.maintenance()->parallel());
-  RunWorkload(&serial_q4, 3000);
-  EXPECT_EQ(serial_q4.ingest_stats().flushes, serial.ingest_stats().flushes);
-  EXPECT_EQ(serial_q4.ingest_stats().merges, serial.ingest_stats().merges);
-  EXPECT_EQ(LiveRecords(&serial_q4), LiveRecords(&serial));
-  EXPECT_EQ(serial_q4.num_records(), serial.num_records());
+  // The same engine on a 4-queue device: its tasks bind to different device
+  // queues and its large merges read key-range partitions.
+  Env q4_env(FourQueueEnv());
+  Dataset q4(&q4_env, BaseOptions(strategy));
+  RunWorkload(&q4, 3000);
+  EXPECT_EQ(q4.ingest_stats().flushes, q1.ingest_stats().flushes);
+  EXPECT_EQ(q4.ingest_stats().merges, q1.ingest_stats().merges);
+  EXPECT_EQ(LiveRecords(&q4), LiveRecords(&q1));
+  EXPECT_EQ(q4.num_records(), q1.num_records());
 
   // Secondary queries agree too (every user bucket).
   SecondaryQueryOptions q;
   for (uint64_t user = 0; user < 50; user++) {
-    QueryResult rs, rp, r4;
-    ASSERT_TRUE(serial.QueryUserRange(user, user, q, &rs).ok());
-    ASSERT_TRUE(parallel.QueryUserRange(user, user, q, &rp).ok());
-    ASSERT_TRUE(serial_q4.QueryUserRange(user, user, q, &r4).ok());
-    std::set<uint64_t> ids_s, ids_p, ids_4;
-    for (const auto& r : rs.records) ids_s.insert(r.id);
-    for (const auto& r : rp.records) ids_p.insert(r.id);
+    QueryResult r1, r4;
+    ASSERT_TRUE(q1.QueryUserRange(user, user, q, &r1).ok());
+    ASSERT_TRUE(q4.QueryUserRange(user, user, q, &r4).ok());
+    std::set<uint64_t> ids_1, ids_4;
+    for (const auto& r : r1.records) ids_1.insert(r.id);
     for (const auto& r : r4.records) ids_4.insert(r.id);
-    EXPECT_EQ(ids_p, ids_s) << "user " << user;
-    EXPECT_EQ(ids_4, ids_s) << "user " << user;
+    EXPECT_EQ(ids_4, ids_1) << "user " << user;
   }
 }
 
@@ -143,27 +128,26 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MaintenanceParityTest, MergeRepairParity) {
-  // Validation with merge repair exercises the repair-in-task path.
-  auto opts = [](size_t threads) {
-    DatasetOptions o = BaseOptions(MaintenanceStrategy::kValidation, threads);
-    o.merge_repair = true;
-    return o;
-  };
-  Env es, ep;
-  Dataset serial(&es, opts(1));
-  Dataset parallel(&ep, opts(4));
-  RunWorkload(&serial, 3000);
-  RunWorkload(&parallel, 3000);
-  EXPECT_GT(parallel.ingest_stats().repairs, 0u);
-  EXPECT_EQ(LiveRecords(&parallel), LiveRecords(&serial));
+  // Validation with merge repair exercises the repair-in-task path, here on
+  // a single-queue and a 4-queue device.
+  DatasetOptions o = BaseOptions(MaintenanceStrategy::kValidation);
+  o.merge_repair = true;
+  Env e1(TestEnv()), e4(FourQueueEnv());
+  Dataset q1(&e1, o);
+  Dataset q4(&e4, o);
+  RunWorkload(&q1, 3000);
+  RunWorkload(&q4, 3000);
+  EXPECT_GT(q4.ingest_stats().repairs, 0u);
+  EXPECT_EQ(q4.ingest_stats().repairs, q1.ingest_stats().repairs);
+  EXPECT_EQ(LiveRecords(&q4), LiveRecords(&q1));
 }
 
 TEST(MaintenanceStressTest, LookupsDuringConcurrentFlushAndMerge) {
-  // Flush + merge on the engine while reader threads hammer point lookups
-  // and bulk lookups; every observed answer must be a value the key really
-  // had, and the final state must reconcile with the serial engine.
+  // Flush + merge on the writer thread while reader threads hammer point
+  // lookups and bulk lookups; every observed answer must be a value the key
+  // really had, and the final state must reconcile with a reader-free copy.
   Env env(TestEnv(/*cache_shards=*/8));
-  DatasetOptions o = BaseOptions(MaintenanceStrategy::kEager, 4);
+  DatasetOptions o = BaseOptions(MaintenanceStrategy::kEager);
   o.mem_budget_bytes = 16 << 10;  // small budget: maintenance churns
   Dataset ds(&env, o);
   ASSERT_NE(ds.maintenance(), nullptr);
@@ -251,11 +235,9 @@ TEST(MaintenanceStressTest, LookupsDuringConcurrentFlushAndMerge) {
   EXPECT_EQ(reader_errors.load(), 0u);
   EXPECT_GT(ds.ingest_stats().merges, 0u);
 
-  // Final reconciled state matches a serially maintained copy.
+  // Final reconciled state matches a copy maintained without readers.
   Env env2(TestEnv());
-  DatasetOptions o2 = BaseOptions(MaintenanceStrategy::kEager, 1);
-  o2.mem_budget_bytes = 16 << 10;
-  Dataset serial(&env2, o2);
+  Dataset serial(&env2, o);
   for (uint64_t i = 0; i < kOps; i++) {
     const uint64_t id = i % kKeys;
     ASSERT_TRUE(serial.Upsert(MakeTweet(id, id % 50, i + 1)).ok());
@@ -272,45 +254,41 @@ TEST(MaintenanceStressTest, LookupsDuringConcurrentFlushAndMerge) {
 }
 
 TEST(MaintenanceSchedulerTest, SerialSchedulerRunsInline) {
+  IoEngine io(DeviceProfile::FromDisk(DiskProfile::Null(), 4));
   MaintenanceOptions mo;
-  mo.threads = 1;
+  mo.io = &io;
   MaintenanceScheduler scheduler(mo);
-  EXPECT_FALSE(scheduler.parallel());
-  EXPECT_EQ(scheduler.pool(), nullptr);
-  int ran = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  std::vector<uint32_t> queues;
+  auto task = [&](int id, Status st) {
+    return [&, id, st]() {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(id);
+      queues.push_back(io.BoundQueue());
+      return st;
+    };
+  };
   std::vector<std::function<Status()>> tasks;
-  tasks.push_back([&ran]() { ran++; return Status::OK(); });
-  tasks.push_back([&ran]() { ran++; return Status::IOError("x"); });
-  tasks.push_back([&ran]() { ran++; return Status::OK(); });
+  tasks.push_back(task(0, Status::OK()));
+  tasks.push_back(task(1, Status::IOError("x")));
+  // A nested RunAll, as CorrelatedMerge runs inside a RunMerges task: its
+  // inner tasks run inline too, before the outer list moves on, each bound
+  // by its own index.
+  tasks.push_back([&]() {
+    std::vector<std::function<Status()>> inner;
+    for (int i = 0; i < 3; i++) inner.push_back(task(10 + i, Status::OK()));
+    return scheduler.RunAll(std::move(inner));
+  });
+  tasks.push_back(task(3, Status::Busy("y")));
+  tasks.push_back(task(4, Status::OK()));
   // All tasks run even past an error; the first error is returned.
   EXPECT_TRUE(scheduler.RunAll(std::move(tasks)).IsIOError());
-  EXPECT_EQ(ran, 3);
-}
-
-TEST(MaintenanceSchedulerTest, NestedFanOutDoesNotDeadlock) {
-  // Every outer task fans out again, as CorrelatedMerge does inside a
-  // RunMerges task: more blocked outer tasks than workers saturate the
-  // pool, and the helping wait must keep making progress.
-  MaintenanceOptions mo;
-  mo.threads = 2;
-  MaintenanceScheduler scheduler(mo);
-  ASSERT_TRUE(scheduler.parallel());
-  std::atomic<int> inner_ran{0};
-  std::vector<std::function<Status()>> tasks;
-  for (int t = 0; t < 6; t++) {
-    tasks.push_back([&scheduler, &inner_ran]() {
-      std::vector<std::function<Status()>> inner;
-      for (int i = 0; i < 3; i++) {
-        inner.push_back([&inner_ran]() {
-          inner_ran.fetch_add(1);
-          return Status::OK();
-        });
-      }
-      return scheduler.RunAll(std::move(inner));
-    });
-  }
-  ASSERT_TRUE(scheduler.RunAll(std::move(tasks)).ok());
-  EXPECT_EQ(inner_ran.load(), 18);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 12, 3, 4}));
+  // Task i charges device queue i % 4, nested tasks included.
+  EXPECT_EQ(queues, (std::vector<uint32_t>{0, 1, 0, 1, 2, 3, 0}));
+  // Unbound again once RunAll returns.
+  EXPECT_EQ(io.BoundQueue(), 0u);
 }
 
 }  // namespace

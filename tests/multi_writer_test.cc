@@ -144,7 +144,6 @@ TEST_P(MultiWriterParityTest, MatchesSingleWriterState) {
   mo.build_cc = cfg.cc;
   mo.enable_primary_key_index = cfg.pk_index;
   mo.writer_threads = writers;
-  mo.maintenance_threads = 2;
   mo.merge_queue_depth = cfg.merge_queue_depth;
   mo.mem_budget_bytes = 64 << 10;  // force several pipeline cycles
   Dataset multi(&menv, mo);
@@ -162,7 +161,6 @@ TEST_P(MultiWriterParityTest, MatchesSingleWriterState) {
   Env senv(TestEnv());
   DatasetOptions so = mo;
   so.writer_threads = 1;
-  so.maintenance_threads = 1;
   Dataset single(&senv, so);
   std::atomic<int> sfailures{0};
   ApplyOps(&single, ops, 1, 0, &sfailures);
@@ -220,7 +218,6 @@ TEST_P(PipelineStressTest, ConcurrentIngestAndQueries) {
   o.merge_repair = cfg.merge_repair;
   o.build_cc = cfg.cc;
   o.writer_threads = 4;
-  o.maintenance_threads = 2;
   o.merge_queue_depth = cfg.merge_queue_depth;
   o.mem_budget_bytes = 128 << 10;
   Dataset ds(&env, o);
@@ -510,7 +507,6 @@ TEST(GroupCommitWalTest, TwoWriterDatasetBatchesSyncs) {
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.build_cc = BuildCcMethod::kLock;
   o.writer_threads = 2;
-  o.maintenance_threads = 2;
   o.mem_budget_bytes = 64 << 10;
   Dataset ds(&env, o);
   ASSERT_TRUE(ds.wal()->JoinCommitWindow());

@@ -421,7 +421,6 @@ void RunWorkload(Env* env, Dataset* ds) {
 DatasetOptions SmallOptions(MaintenanceStrategy strategy) {
   DatasetOptions o;
   o.strategy = strategy;
-  o.maintenance_threads = 1;
   o.mem_budget_bytes = 256 << 10;
   o.max_mergeable_bytes = 2 << 20;
   return o;
@@ -452,7 +451,7 @@ TEST(DatasetObsTest, MetricsSnapshotFoldsEverySubsystem) {
   // Live backlog gauges (satellite): per-tree + WAL + exec.
   EXPECT_EQ(s.values.count("wal.commit_waiters"), 1u);
   EXPECT_EQ(s.values.count("wal.unsynced_records"), 1u);
-  EXPECT_EQ(s.values.count("exec.pool_queue_depth"), 1u);
+  EXPECT_EQ(s.values.count("exec.merge_rounds_pending"), 1u);
   size_t tree_gauges = 0;
   for (const auto& [k, v] : s.values) {
     if (k.rfind("lsm.", 0) == 0 &&

@@ -70,7 +70,6 @@ TEST_P(OverloadStrategyTest, DecoupledOverloadMatchesSerialAndBoundsBacklog) {
   mo.merge_repair = cfg.merge_repair;
   mo.build_cc = cfg.cc;
   mo.writer_threads = writers;
-  mo.maintenance_threads = 2;
   mo.merge_queue_depth = depth;
   mo.mem_budget_bytes = 32 << 10;  // sustained overload: flush every ~200 ops
   Dataset multi(&menv, mo);
@@ -120,7 +119,6 @@ TEST_P(OverloadStrategyTest, DecoupledOverloadMatchesSerialAndBoundsBacklog) {
   Env senv(TestEnv());
   DatasetOptions so = mo;
   so.writer_threads = 1;
-  so.maintenance_threads = 1;
   so.merge_queue_depth = 0;
   Dataset single(&senv, so);
   for (uint64_t id = 1; id <= n; id++) {
@@ -165,7 +163,6 @@ TEST(DecoupledMergeTest, StuckMergeJobDoesNotBlockFlushCycles) {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.writer_threads = 2;
-  o.maintenance_threads = 2;  // one drain worker may park on the gate
   o.merge_queue_depth = 8;
   o.mem_budget_bytes = 16 << 10;
   Dataset ds(&env, o);
@@ -206,7 +203,6 @@ TEST(DecoupledMergeTest, MergeErrorsSurfaceAndClear) {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.writer_threads = 2;
-  o.maintenance_threads = 2;
   o.merge_queue_depth = 4;
   o.mem_budget_bytes = 1 << 20;
   Dataset ds(&env, o);
@@ -251,7 +247,6 @@ TEST(DecoupledMergeTest, FailedConcurrentBuildReleasesPicksAndQueue) {
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.build_cc = BuildCcMethod::kLock;
   o.writer_threads = 2;
-  o.maintenance_threads = 2;
   o.merge_queue_depth = 2;
   o.mem_budget_bytes = 24 << 10;
   o.fault_injector = &fault;
@@ -322,7 +317,6 @@ TEST(DecoupledMergeTest, ExplicitTxnsNeverParkOnMergeBackpressure) {
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.build_cc = BuildCcMethod::kLock;
   o.writer_threads = 3;
-  o.maintenance_threads = 2;
   o.merge_queue_depth = 1;  // saturates quickly under this load
   o.mem_budget_bytes = 24 << 10;
   Dataset ds(&env, o);
@@ -362,7 +356,6 @@ TEST(DecoupledMergeTest, CoupledPathKeepsQueuesIdle) {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.writer_threads = 4;
-  o.maintenance_threads = 2;
   o.mem_budget_bytes = 32 << 10;
   Dataset ds(&env, o);
   for (uint64_t id = 1; id <= 800; id++) {

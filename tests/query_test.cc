@@ -73,7 +73,6 @@ class LookupVariantTest : public ::testing::TestWithParam<LookupVariant> {};
 TEST_P(LookupVariantTest, AllVariantsReturnSameResult) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 30;  // manual flushes only
   Dataset ds(&env, o);
@@ -121,7 +120,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ValidationMethodTest, DirectAndTimestampAgreeUnderUpdates) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kValidation;
   o.merge_repair = false;  // keep obsolete entries around
   o.mem_budget_bytes = 1 << 30;
@@ -150,7 +148,6 @@ TEST(ValidationMethodTest, DirectAndTimestampAgreeUnderUpdates) {
 TEST(ValidationMethodTest, ObsoleteEntriesAreFilteredNotReturned) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kValidation;
   o.merge_repair = false;
   o.mem_budget_bytes = 1 << 30;
@@ -171,7 +168,6 @@ TEST(ValidationMethodTest, ObsoleteEntriesAreFilteredNotReturned) {
 TEST(ValidationMethodTest, IndexOnlyTimestampValidation) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kValidation;
   o.merge_repair = false;
   o.mem_budget_bytes = 1 << 30;
@@ -198,7 +194,6 @@ TEST(ValidationMethodTest, IndexOnlyTimestampValidation) {
 TEST(ValidationMethodTest, DeletesInvalidateThroughPkIndexAntimatter) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kValidation;
   o.merge_repair = false;
   o.mem_budget_bytes = 1 << 30;
@@ -345,7 +340,6 @@ TEST(BulkPointLookupTest, BatchedPathSortsUnsortedRequests) {
 TEST(QuerySortTest, SortedResultsAreInPkOrder) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);

@@ -95,7 +95,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(StrategyTest, CursorMatchesLegacyRowsOrderAndCounters) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = GetParam();
   o.mem_budget_bytes = 1 << 30;  // manual flushes only
   Dataset ds(&env, o);
@@ -192,7 +191,6 @@ TEST_P(StrategyTest, CursorMatchesLegacyRowsOrderAndCounters) {
 TEST_P(StrategyTest, LimitedCursorPaginatesWithoutDuplicates) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = GetParam();
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
@@ -325,7 +323,6 @@ TEST_P(StrategyTest, LimitedCursorRowsMatchPinnedIds) {
   Env env(TestEnv());
   DatasetOptions o;
   o.strategy = GetParam();
-  o.maintenance_threads = 1;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
   LoadSeeded(&ds);
@@ -406,7 +403,6 @@ TEST(LimitWorkTest, LimitDoesStrictlyLessWork) {
   auto run = [&](uint64_t limit) {
     Env env(eo);
     DatasetOptions o;
-    o.maintenance_threads = 1;
     o.strategy = MaintenanceStrategy::kEager;
     o.mem_budget_bytes = 1 << 30;
     Dataset ds(&env, o);
@@ -456,7 +452,6 @@ TEST(ConcurrentReadTest, PaginationStableUnderConcurrentWriters) {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.writer_threads = 4;
-  o.maintenance_threads = 2;
   o.mem_budget_bytes = 64 << 10;  // frequent background cycles
   Dataset ds(&env, o);
 
@@ -510,7 +505,6 @@ TEST(ConcurrentReadTest, PaginationStableUnderConcurrentWriters) {
 TEST(CatalogTest, SecondaryByNameAndCheckedIndexing) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 30;
   o.secondary_indexes = {SecondaryIndexDef::UserId(),
@@ -549,7 +543,6 @@ TEST(CatalogTest, SecondaryByNameAndCheckedIndexing) {
 TEST(ComposeTest, SecondaryQueryWithTimeRange) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kValidation;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
@@ -583,7 +576,6 @@ TEST(ComposeTest, SecondaryQueryWithTimeRange) {
 TEST(CountOnlyTest, SecondaryCountOnlyReportsAndHonorsLimit) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
@@ -616,7 +608,6 @@ TEST(CountOnlyTest, SecondaryCountOnlyReportsAndHonorsLimit) {
 TEST(PlanTest, PointReadsAndInvalidPlans) {
   Env env(TestEnv());
   DatasetOptions o;
-  o.maintenance_threads = 1;
   o.mem_budget_bytes = 1 << 30;
   Dataset ds(&env, o);
   ASSERT_TRUE(ds.Upsert(MakeTweet(42, 7, 1)).ok());

@@ -1,5 +1,5 @@
 // ThreadPool (exec/thread_pool.h): submission, results, exception
-// propagation, helping, and shutdown draining.
+// propagation, and shutdown draining.
 #include "exec/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -77,29 +77,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     }
   }  // destructor joins after running everything queued
   EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, HelpingRunsQueuedTasksOnCallerThread) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  std::atomic<bool> blocker_started{false};
-  // Occupy the lone worker...
-  auto blocker = pool.Submit([&release, &blocker_started]() {
-    blocker_started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  // ...wait until the worker owns it (so this thread cannot pop it below)...
-  while (!blocker_started.load()) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 10; i++) {
-    pool.Submit([&ran]() { ran.fetch_add(1); });
-  }
-  // ...then drain its queue from this thread.
-  while (pool.RunOneQueued()) {
-  }
-  EXPECT_EQ(ran.load(), 10);
-  release.store(true);
-  blocker.get();
 }
 
 }  // namespace

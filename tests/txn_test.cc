@@ -336,7 +336,6 @@ DatasetOptions SmallBudget() {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 4 << 10;  // a handful of records triggers the flush
-  o.maintenance_threads = 1;
   return o;
 }
 
